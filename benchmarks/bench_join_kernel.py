@@ -9,19 +9,17 @@ Two entry points:
   records kernel + counting-engine throughput to a JSON file, which CI
   uploads so the performance trajectory of the hot path is tracked.
 
-Both modes assert the PR acceptance criteria accumulated so far: the
-O(k^2) exact kernel is >= 10x faster than subset enumeration at k = 12;
-an exact counting run at k = 64 (impossible under the old ``2^k``
-enumerator) completes; the FFT Poisson-binomial PMF beats the O(k^2) DP
-PMF at k = 1024; a heterogeneous k = 1024 counting scenario runs faster
-on the FFT + pi-cache path than on plain DP with the cache off; the
-loop-free Gauss-Legendre quadrature kernel beats both the DP and the
-FFT deconvolution end to end at k = 8192 (and powers an exact k = 8192
-counting run); a shared cross-trial pi cache amortizes kernel work
-across the trials of a multi-trial scenario run; and a persistent
+Both modes assert the acceptance criteria accumulated so far: the
+exact (Gauss-Legendre quadrature) kernel is >= 10x faster than subset
+enumeration at k = 12; an exact counting run at k = 64 (impossible
+under the old ``2^k`` enumerator) completes, and so does one at
+k = 8192; a shared cross-trial pi cache amortizes kernel work across
+the trials of a multi-trial scenario run; and a persistent
 :class:`~repro.store.DiskPiCache` tier lets a *second session* on the
 same machine replace kernel calls with memory-mapped reads of the first
-session's distributions (``cross_session_amortization``).
+session's distributions (``cross_session_amortization``).  The
+``kernel`` rows time the one kernel from k = 12 to k = 8192; the
+regression gate holds each to its recorded time.
 
 The JSON record also carries a ``floors`` table mapping dotted record
 paths to the minimum acceptable value of each speedup ratio; the CI
@@ -41,25 +39,15 @@ import numpy as np
 from repro.core.ant import AntAlgorithm
 from repro.env.critical import lambda_for_critical_value
 from repro.env.demands import powerlaw_demands, uniform_demands
-from repro.env.feedback import ExactBinaryFeedback, SigmoidFeedback
+from repro.env.feedback import SigmoidFeedback
 from repro.obs import monotonic as obs_monotonic
 from repro.scenario import ScenarioSpec, run_scenario
 from repro.sim.counting import CountingSimulator
 from repro.sim.pi_cache import SharedPiCache
 from repro.store import DiskPiCache
-from repro.util.mathx import (
-    enumerate_subset_join_probabilities,
-    exact_join_probabilities,
-    fft_poisson_binomial_pmf,
-    poisson_binomial_pmf,
-)
+from repro.util.mathx import enumerate_subset_join_probabilities, exact_join_probabilities
 
 SPEEDUP_FLOOR = 10.0  # required kernel speedup over enumeration at k = 12
-FFT_PMF_SPEEDUP_FLOOR = 2.0  # required FFT-over-DP PMF speedup at k = 1024
-#: The quadrature kernel must beat DP and FFT deconvolution end to end at
-#: k = 8192 by at least this factor (measured ~40-50x; the floor leaves
-#: headroom for noisy CI machines while still catching real regressions).
-QUADRATURE_SPEEDUP_FLOOR = 2.0
 #: The shared cross-trial cache must not meaningfully slow a multi-trial
 #: run (the measured effect is a ~1.2x speedup, but it rides on only
 #: ~13% of kernel calls, so wall-time noise could eat it on a loaded CI
@@ -80,13 +68,9 @@ CROSS_SESSION_AMORTIZATION_FLOOR = 0.9
 #: on noisy CI machines; the structural guarantee is the amortization).
 CROSS_SESSION_SPEEDUP_FLOOR = 0.8
 ENUM_K = 12
-KERNEL_KS = (12, 64, 256, 1024)
-FFT_K = 1024
-QUAD_K = 8192
+KERNEL_KS = (12, 64, 256, 1024, 8192)
 ENGINE_KS = (4, 64, 256)
 ENGINE_ROUNDS = 500
-HET_ENGINE_K = 1024
-HET_ENGINE_ROUNDS = 300
 XL_ENGINE_K = 8192
 XL_ENGINE_ROUNDS = 60
 SHARED_SWEEP_K = 1024
@@ -113,21 +97,6 @@ def _engine_for(k: int) -> CountingSimulator:
     lam = lambda_for_critical_value(demand, gamma_star=0.01)
     return CountingSimulator(
         AntAlgorithm(gamma=0.025), demand, SigmoidFeedback(lam), seed=0
-    )
-
-
-def _het_engine(*, join_kernel_method: str, pi_cache: bool) -> CountingSimulator:
-    """Heterogeneous k = 1024 scenario: power-law demand spectrum under
-    exact-binary feedback (integer deficits -> repeating mark signatures,
-    the workload the pi cache exists for)."""
-    demand = powerlaw_demands(n=1000 * HET_ENGINE_K, k=HET_ENGINE_K, alpha=1.0)
-    return CountingSimulator(
-        AntAlgorithm(gamma=0.025),
-        demand,
-        ExactBinaryFeedback(),
-        seed=0,
-        join_kernel_method=join_kernel_method,
-        pi_cache=pi_cache,
     )
 
 
@@ -177,95 +146,9 @@ def test_counting_engine_k64_exact_run(benchmark):
     assert out.k == 64 and out.rounds == ENGINE_ROUNDS
 
 
-def test_fft_pmf_beats_dp_at_k1024():
-    _fft_pmf_comparison()
-
-
-def _time_het_engine(join_kernel_method: str, pi_cache: bool) -> tuple[float, CountingSimulator]:
-    """Best-of-2 wall time of a fresh (cold-cache) heterogeneous run."""
-    best, last_sim = float("inf"), None
-    for _ in range(2):
-        sim = _het_engine(join_kernel_method=join_kernel_method, pi_cache=pi_cache)
-        t0 = obs_monotonic()
-        out = sim.run(HET_ENGINE_ROUNDS)
-        best = min(best, obs_monotonic() - t0)
-        assert out.k == HET_ENGINE_K and out.rounds == HET_ENGINE_ROUNDS
-        last_sim = sim
-    return best, last_sim
-
-
-def _fft_pmf_comparison() -> dict:
-    """Time FFT vs DP PMF at k = 1024; assert agreement and the speedup
-    floor.  Single source of truth for the pytest case and collect()."""
-    u = _kernel_inputs(FFT_K)
-    np.testing.assert_allclose(
-        fft_poisson_binomial_pmf(u), poisson_binomial_pmf(u), atol=1e-10
-    )
-    t_dp = _time(lambda: poisson_binomial_pmf(u), repeats=5)
-    t_fft = _time(lambda: fft_poisson_binomial_pmf(u), repeats=5)
-    assert t_dp / t_fft >= FFT_PMF_SPEEDUP_FLOOR, (
-        f"FFT PMF only {t_dp / t_fft:.1f}x faster than DP at k={FFT_K}"
-    )
-    return {
-        "dp_seconds_per_call": t_dp,
-        "fft_seconds_per_call": t_fft,
-        "speedup": t_dp / t_fft,
-    }
-
-
-def _het_engine_comparison() -> dict:
-    """Run the heterogeneous k = 1024 scenario on both paths; assert the
-    FFT + pi-cache path wins.  Shared by the pytest case and collect()."""
-    t_dp, _ = _time_het_engine("dp", False)
-    t_fft, sim = _time_het_engine("fft", True)
-    assert sim.pi_cache_hits > 0
-    assert t_fft < t_dp, (
-        f"FFT+cache ({t_fft:.2f}s) did not beat plain DP ({t_dp:.2f}s) at k={HET_ENGINE_K}"
-    )
-    return {
-        "n": sim.n,
-        "rounds": HET_ENGINE_ROUNDS,
-        "dp_nocache_seconds": t_dp,
-        "fft_cache_seconds": t_fft,
-        "speedup": t_dp / t_fft,
-        "pi_cache_hits": sim.pi_cache_hits,
-        "pi_cache_misses": sim.pi_cache_misses,
-    }
-
-
-def test_counting_engine_k1024_fft_cache_beats_dp():
-    """The heterogeneous k = 1024 scenario must complete, and the FFT +
-    pi-cache path must beat plain DP with the cache off."""
-    _het_engine_comparison()
-
-
-def _quadrature_comparison() -> dict:
-    """Time all three exact join back ends end to end at k = 8192 and
-    assert the loop-free quadrature beats both deconvolution paths."""
-    u = _kernel_inputs(QUAD_K)
-    t_dp = _time(lambda: exact_join_probabilities(u, method="dp"), repeats=2)
-    t_fft = _time(lambda: exact_join_probabilities(u, method="fft"), repeats=2)
-    t_quad = _time(lambda: exact_join_probabilities(u, method="quadrature"), repeats=5)
-    speedup_vs_dp = t_dp / t_quad
-    speedup_vs_fft = t_fft / t_quad
-    assert speedup_vs_dp >= QUADRATURE_SPEEDUP_FLOOR, (
-        f"quadrature only {speedup_vs_dp:.1f}x faster than DP at k={QUAD_K}"
-    )
-    assert speedup_vs_fft >= QUADRATURE_SPEEDUP_FLOOR, (
-        f"quadrature only {speedup_vs_fft:.1f}x faster than FFT deconvolution at k={QUAD_K}"
-    )
-    return {
-        "dp_seconds_per_call": t_dp,
-        "fft_seconds_per_call": t_fft,
-        "quadrature_seconds_per_call": t_quad,
-        "speedup_vs_dp": speedup_vs_dp,
-        "speedup_vs_fft": speedup_vs_fft,
-    }
-
-
 def _xl_engine_run() -> dict:
-    """An exact k = 8192 counting run — the scale the quadrature kernel
-    (auto-dispatched past QUADRATURE_K_THRESHOLD) exists to unlock."""
+    """An exact k = 8192 counting run — the scale the loop-free
+    quadrature kernel unlocks."""
     demand = powerlaw_demands(n=100 * XL_ENGINE_K, k=XL_ENGINE_K, alpha=1.0)
     lam = lambda_for_critical_value(demand, gamma_star=0.01)
     sim = CountingSimulator(AntAlgorithm(gamma=0.025), demand, SigmoidFeedback(lam), seed=0)
@@ -278,7 +161,6 @@ def _xl_engine_run() -> dict:
         "rounds": XL_ENGINE_ROUNDS,
         "seconds": elapsed,
         "rounds_per_second": XL_ENGINE_ROUNDS / elapsed,
-        "join_kernel_method": sim._resolved_kernel_method,
     }
 
 
@@ -387,17 +269,13 @@ def _cross_session_comparison() -> dict:
     }
 
 
-def test_quadrature_beats_deconvolution_at_k8192():
-    _quadrature_comparison()
-
-
 def test_disk_pi_cache_amortizes_across_sessions():
     _cross_session_comparison()
 
 
 def test_counting_engine_k8192_exact_run():
     row = _xl_engine_run()
-    assert row["join_kernel_method"] == "quadrature"
+    assert row["rounds"] == XL_ENGINE_ROUNDS
 
 
 def test_shared_pi_cache_amortizes_across_trials():
@@ -437,19 +315,8 @@ def collect() -> dict:
             "rounds_per_second": ENGINE_ROUNDS / elapsed,
         }
 
-    # FFT Poisson-binomial PMF vs the O(k^2) DP at k = 1024, and the
-    # heterogeneous k = 1024 scenario end to end (FFT + pi cache vs plain
-    # DP, best-of-2 fresh runs each so one descheduled run on a noisy CI
-    # machine cannot flip the comparison).
-    record["fft_pmf"] = {f"k={FFT_K}": _fft_pmf_comparison()}
-    record["counting_engine_heterogeneous"] = {
-        f"k={HET_ENGINE_K}": _het_engine_comparison()
-    }
-
-    # Loop-free quadrature vs both deconvolution back ends at k = 8192,
-    # the exact k = 8192 scenario it unlocks, and the cross-trial shared
-    # pi cache's amortization of kernel work across trials.
-    record["join_kernel_methods"] = {f"k={QUAD_K}": _quadrature_comparison()}
+    # The exact k = 8192 scenario, and the cross-trial shared pi cache's
+    # amortization of kernel work across trials.
     record["counting_engine_xl"] = {f"k={XL_ENGINE_K}": _xl_engine_run()}
     record["shared_pi_cache_sweep"] = {f"k={SHARED_SWEEP_K}": _shared_cache_comparison()}
 
@@ -464,10 +331,6 @@ def collect() -> dict:
     # paths -> minimum acceptable value in a fresh CI run.
     record["floors"] = {
         "speedup_at_k12": SPEEDUP_FLOOR,
-        f"fft_pmf.k={FFT_K}.speedup": FFT_PMF_SPEEDUP_FLOOR,
-        f"counting_engine_heterogeneous.k={HET_ENGINE_K}.speedup": 1.0,
-        f"join_kernel_methods.k={QUAD_K}.speedup_vs_dp": QUADRATURE_SPEEDUP_FLOOR,
-        f"join_kernel_methods.k={QUAD_K}.speedup_vs_fft": QUADRATURE_SPEEDUP_FLOOR,
         f"shared_pi_cache_sweep.k={SHARED_SWEEP_K}.speedup": SHARED_CACHE_SPEEDUP_FLOOR,
         f"shared_pi_cache_sweep.k={SHARED_SWEEP_K}.cross_trial_amortization": (
             SHARED_CACHE_AMORTIZATION_FLOOR
@@ -491,25 +354,12 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.json, "w", encoding="utf-8") as f:
         json.dump(record, f, indent=2, sort_keys=True)
     print(f"speedup over enumeration at k={ENUM_K}: {record['speedup_at_k12']:.0f}x")
+    for key, row in record["kernel"].items():
+        print(f"join kernel {key}: {1e3 * row['seconds_per_call']:.3f} ms/call")
     for key, row in record["counting_engine"].items():
         print(f"counting engine {key}: {row['rounds_per_second']:.0f} rounds/s")
-    fft_row = record["fft_pmf"][f"k={FFT_K}"]
-    print(f"FFT PMF speedup over DP at k={FFT_K}: {fft_row['speedup']:.1f}x")
-    het = record["counting_engine_heterogeneous"][f"k={HET_ENGINE_K}"]
-    print(
-        f"heterogeneous k={HET_ENGINE_K} engine: FFT+cache {het['speedup']:.2f}x over "
-        f"plain DP ({het['pi_cache_hits']} cache hits / {het['pi_cache_misses']} misses)"
-    )
-    quad = record["join_kernel_methods"][f"k={QUAD_K}"]
-    print(
-        f"quadrature kernel at k={QUAD_K}: {quad['speedup_vs_dp']:.1f}x over DP, "
-        f"{quad['speedup_vs_fft']:.1f}x over FFT deconvolution"
-    )
     xl = record["counting_engine_xl"][f"k={XL_ENGINE_K}"]
-    print(
-        f"exact k={XL_ENGINE_K} engine ({xl['join_kernel_method']}): "
-        f"{xl['rounds_per_second']:.1f} rounds/s"
-    )
+    print(f"exact k={XL_ENGINE_K} engine: {xl['rounds_per_second']:.1f} rounds/s")
     sh = record["shared_pi_cache_sweep"][f"k={SHARED_SWEEP_K}"]
     print(
         f"shared pi cache over {sh['trials']} trials at k={SHARED_SWEEP_K}: "

@@ -18,7 +18,7 @@ performance trajectory regresses:
   shows up as *every* leaf failing at a similar ratio; a real
   regression shows up in the specific kernel or scenario that changed;
 * **speedup floors** — the baseline's ``floors`` table maps dotted
-  record paths (``"join_kernel_methods.k=8192.speedup_vs_dp"``) to the
+  record paths (``"speedup_at_k12"``) to the
   minimum acceptable value of that ratio in the fresh run.  Ratios of
   two same-machine timings are machine-independent, so floors are exact
   requirements, not budgets;

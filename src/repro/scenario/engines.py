@@ -95,16 +95,14 @@ def _build_counting(
     shared_pi_cache=None,
     initial_loads=None,
     join_strategy: str = "exact",
-    join_kernel_method: str = "auto",
     pi_cache: bool = True,
 ) -> CountingSimulator:
-    # No task-count cap here: the exact join kernel (O(k^2) DP, FFT PMF
-    # past FFT_K_THRESHOLD, Gauss-Legendre quadrature past
-    # QUADRATURE_K_THRESHOLD) plus the join-distribution caches make
-    # counting scenarios with k in the thousands declarable and runnable
-    # (the old subset enumerator's k <= 14 cliff survives only as a test
-    # oracle).  ``shared_pi_cache`` is runtime context injected by
-    # run_scenario/sweep_scenario, never spec data.
+    # No task-count cap here: the loop-free quadrature join kernel plus
+    # the join-distribution caches make counting scenarios with k in the
+    # thousands declarable and runnable (the old subset enumerator's
+    # k <= 14 cliff survives only as a test oracle).  ``shared_pi_cache``
+    # is runtime context injected by run_scenario/sweep_scenario, never
+    # spec data.
     if initial_loads is not None:
         initial_loads = np.asarray(initial_loads, dtype=np.int64)
     return CountingSimulator(
@@ -115,7 +113,6 @@ def _build_counting(
         seed=seed,
         population=population,
         join_strategy=join_strategy,
-        join_kernel_method=join_kernel_method,
         pi_cache=pi_cache,
         shared_pi_cache=shared_pi_cache,
     )
@@ -131,7 +128,6 @@ def _build_counting_batched(
     shared_pi_cache=None,
     initial_loads=None,
     join_strategy: str = "exact",
-    join_kernel_method: str = "auto",
     pi_cache: bool = True,
     batch: int = DEFAULT_BATCH,
     backend: str = "numpy",
@@ -155,7 +151,6 @@ def _build_counting_batched(
         shared_pi_cache=shared_pi_cache,
         initial_loads=initial_loads,
         join_strategy=join_strategy,
-        join_kernel_method=join_kernel_method,
         pi_cache=pi_cache,
     )
 
@@ -186,14 +181,13 @@ ENGINES.register("agent", _build_agent, example={"initial_assignment": "all_idle
 ENGINES.register(
     "counting",
     _build_counting,
-    example={"join_strategy": "exact", "join_kernel_method": "auto", "pi_cache": True},
+    example={"join_strategy": "exact", "pi_cache": True},
 )
 ENGINES.register(
     "counting_batched",
     _build_counting_batched,
     example={
         "join_strategy": "exact",
-        "join_kernel_method": "auto",
         "pi_cache": True,
         "batch": 16,
         "backend": "numpy",

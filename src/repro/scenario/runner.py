@@ -49,7 +49,7 @@ from repro.exceptions import ConfigurationError, SweepInterrupted
 from repro.sim.engine import SimulationResult
 from repro.sim.pi_cache import SharedPiCache
 from repro.sim.runner import SweepResult, TrialSummary, run_trials
-from repro.store import STORE_FORMAT, ResultStore, digest_hex, seed_from_digest
+from repro.store import NUMERICS_VERSION, STORE_FORMAT, ResultStore, digest_hex, seed_from_digest
 from repro.store.records import Record
 from repro.util.validation import check_integer
 
@@ -239,11 +239,12 @@ def sweep_point_digest(
 
     Covers everything that determines the point's summary: the derived
     spec (components, engine, base seed), the swept coordinate, the
-    horizon and trial count, the merged run params, and the point's seed
-    root.  Two sweep invocations that agree on all of these are
-    interchangeable — their records may be shared — and any difference
-    produces a different digest, so stale reuse is structurally
-    impossible.
+    horizon and trial count, the merged run params, the point's seed
+    root, and the engine's :data:`~repro.store.NUMERICS_VERSION`.  Two
+    sweep invocations that agree on all of these are interchangeable —
+    their records may be shared — and any difference produces a
+    different digest, so stale reuse is structurally impossible: a record
+    committed under older numerics reads as absent.
 
     ``parameter`` is a dotted path for classic one-parameter sweeps, or
     a sequence of paths (with ``value`` the matching sequence of values)
@@ -255,6 +256,7 @@ def sweep_point_digest(
     return digest_hex(
         {
             "format": STORE_FORMAT,
+            "numerics": NUMERICS_VERSION,
             "kind": "sweep_point",
             "spec": derived_spec.to_dict(),
             "parameter": parameter,
@@ -275,12 +277,13 @@ def sweep_point_seed(
 ) -> int:
     """Insertion-stable seed root: a function of the point, not its index.
 
-    Deliberately excludes ``rounds`` / ``trials`` / run params: like the
-    index derivation, the seed root identifies the *point*, and the
-    trial runner spawns per-trial seeds beneath it — so extending a
-    sweep's horizon or trial count later keeps the point on the same
-    stream family.  Accepts the same scalar-or-sequence coordinate forms
-    as :func:`sweep_point_digest`.
+    Deliberately excludes ``rounds`` / ``trials`` / run params and the
+    numerics version: like the index derivation, the seed root identifies
+    the *point*, and the trial runner spawns per-trial seeds beneath it —
+    so extending a sweep's horizon or trial count later, or changing the
+    engine's numerics, keeps the point on the same stream family.
+    Accepts the same scalar-or-sequence coordinate forms as
+    :func:`sweep_point_digest`.
     """
     parameter, value = _coordinate_key(parameter, value)
     seed_key = {

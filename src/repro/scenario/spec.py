@@ -34,6 +34,7 @@ both work::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import json
 from dataclasses import dataclass, field
@@ -82,17 +83,31 @@ def _normalize_params(kind: str, params: Any) -> dict[str, Any]:
         ) from exc
 
 
+@functools.lru_cache(maxsize=None)
+def _factory_params(factory: Any) -> tuple[frozenset[str], bool] | None:
+    """``(keyword parameter names, takes **kwargs)`` of ``factory``.
+
+    ``None`` when the signature cannot be introspected (some builtins).
+    Cached per factory object: specs are rebuilt on every sweep
+    re-render and every served request, and ``inspect.signature`` costs
+    more than everything else spec construction does.
+    """
+    try:
+        parameters = inspect.signature(factory).parameters.values()
+    except (TypeError, ValueError):
+        return None
+    names = frozenset(
+        p.name
+        for p in parameters
+        if p.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    )
+    return names, any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters)
+
+
 def _accepts_param(factory: Any, name: str) -> bool:
     """True when ``factory`` declares an explicit parameter ``name``."""
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # builtins without introspectable signatures
-        return False
-    param = signature.parameters.get(name)
-    return param is not None and param.kind in (
-        inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        inspect.Parameter.KEYWORD_ONLY,
-    )
+    params = _factory_params(factory)
+    return params is not None and name in params[0]
 
 
 @dataclass(frozen=True)
@@ -101,7 +116,9 @@ class ComponentSpec:
 
     Subclasses bind a registry (class attribute ``registry``) and a
     human-readable ``kind``; the name is validated against the registry
-    at construction time so typos fail early with the available names.
+    at construction time so typos fail early with the available names,
+    and so are the param names, against the factory's keyword parameters
+    (factories taking ``**kwargs`` accept any name).
     """
 
     name: str
@@ -113,8 +130,16 @@ class ComponentSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ConfigurationError(f"{self.kind} name must be a non-empty string")
-        self.registry.check(self.name)
-        object.__setattr__(self, "params", _normalize_params(self.kind, self.params))
+        accepted = _factory_params(self.registry.get(self.name))
+        params = _normalize_params(self.kind, self.params)
+        if accepted is not None and not accepted[1]:
+            unknown = sorted(set(params) - accepted[0])
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown {self.kind} params {unknown} for {self.name!r}; "
+                    f"accepted: {sorted(accepted[0])}"
+                )
+        object.__setattr__(self, "params", params)
 
     # ------------------------------------------------------------------
     def build(self, **extra: Any) -> Any:

@@ -229,16 +229,24 @@ class ScenarioService:
         A digest leased by *another* service process on the same store
         reports ``"pending"`` too — cross-process coalescing: the poll
         loop a client runs is the same either way.
+
+        The pending map and the lease are read *before* the store: a
+        worker commits the record before it releases the lease and pops
+        the digest from the pending map, so a poll that finds neither
+        is guaranteed to see the commit.  Reading the store first would
+        leave a window (commit not yet visible, then the pop) in which a
+        finished computation reads as ``"unknown"``.
         """
-        if self.store.has_record(digest):
-            return "committed"
         with self._lock:
             if digest in self._pending:
                 return "pending"
-            if digest in self._failed:
-                return "failed"
         if self._manager.is_leased(digest):
             return "pending"
+        if self.store.has_record(digest):
+            return "committed"
+        with self._lock:
+            if digest in self._failed:
+                return "failed"
         return "unknown"
 
     def failure_of(self, digest: str) -> str | None:

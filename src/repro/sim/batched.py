@@ -219,7 +219,6 @@ def _lane_signature(sim: CountingSimulator) -> tuple:
         sim.n,
         sim.k,
         sim.join_strategy,
-        sim.join_kernel_method,
         sim.pi_cache_enabled,
         type(sim.feedback).__name__,
         type(sim.schedule).__name__,
@@ -294,10 +293,7 @@ class BatchedCountingSimulator:
         # the batched engine's kernel-side win.  Same tiers and key
         # scheme as the serial engine (see JoinDistributionCache).
         self._join_cache = JoinDistributionCache(
-            enabled=lane0.pi_cache_enabled,
-            shared=lane0.shared_pi_cache,
-            kernel_method=lane0.join_kernel_method,
-            resolved_method=lane0._resolved_kernel_method,
+            enabled=lane0.pi_cache_enabled, shared=lane0.shared_pi_cache
         )
         # Exact vectorized replay of numpy's binomial inversion sampler;
         # removes the ~10-15 us *fixed* overhead of each per-lane

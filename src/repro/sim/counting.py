@@ -14,15 +14,13 @@ exchangeable.  The engine therefore simulates loads directly:
   the exact marginal action distribution ``pi[j] = u_j E[1/(1+B_j)]``
   (``B_j`` the Poisson-binomial count of *other* marked tasks) is
   computed by the exact join kernel
-  (:func:`repro.util.mathx.exact_join_probabilities`: O(k^2) DP below
-  :data:`~repro.util.mathx.FFT_K_THRESHOLD` tasks, FFT Poisson-binomial
-  PMF up to :data:`~repro.util.mathx.QUADRATURE_K_THRESHOLD`, and the
-  loop-free Gauss-Legendre quadrature beyond) and the joint join counts
-  drawn as one ``Multinomial(idle, pi)``.  A content-addressed cache
-  keyed on the mark-probability vector lets rounds whose
-  deficit/feedback signature repeats skip the kernel entirely, and an
-  optional :class:`~repro.sim.pi_cache.SharedPiCache` extends that reuse
-  across the trials of a sweep.  This keeps the engine genuinely
+  (:func:`repro.util.mathx.exact_join_probabilities`, a loop-free
+  Gauss-Legendre quadrature that is exact in law at every k) and the
+  joint join counts drawn as one ``Multinomial(idle, pi)``.  A
+  content-addressed cache keyed on the mark-probability vector lets
+  rounds whose deficit/feedback signature repeats skip the kernel
+  entirely, and an optional :class:`~repro.sim.pi_cache.SharedPiCache`
+  extends that reuse across the trials of a sweep.  This keeps the engine genuinely
   polynomial in ``k`` — many-task scenarios (k = 64..16384) run exactly;
   the old ``O(2^k k)`` subset enumerator survives only as the test
   oracle, and per-idle-ant sampling (``join_strategy="per_ant"``) only
@@ -57,7 +55,7 @@ from repro.sim.metrics import RegretTracker
 from repro.sim.pi_cache import SharedPiCache
 from repro.sim.trace import Trace
 from repro.types import IDLE
-from repro.util.mathx import exact_join_probabilities, resolve_join_kernel_method
+from repro.util.mathx import exact_join_probabilities
 from repro.util.rng import RngFactory
 from repro.util.validation import check_integer
 
@@ -70,7 +68,7 @@ __all__ = [
 
 #: How the joint join counts of the idle pool are drawn each decision
 #: round.  Both are exact in distribution: ``"exact"`` (default) is one
-#: ``Multinomial(idle, pi)`` over the O(k^2) kernel's action
+#: ``Multinomial(idle, pi)`` over the join kernel's action
 #: distribution; ``"per_ant"`` simulates every idle ant's marks
 #: (O(idle * k)) and exists as a cross-check of the kernel.
 JOIN_STRATEGIES = ("exact", "per_ant")
@@ -97,23 +95,15 @@ class JoinDistributionCache:
     (memory then disk tier), then the kernel itself; fresh results are
     published back to both layers.  Keys are the byte image of the
     mark-probability vector ``u`` (shared-cache keys additionally pin
-    the resolved kernel back end), so stale reuse is structurally
-    impossible.  Per-tier hit/miss counters live here; engines expose
-    them and :meth:`reset_stats` rewinds them at each run.
+    the numerics tag, :data:`~repro.sim.pi_cache.PI_KEY_TAG`), so stale
+    reuse is structurally impossible.  Per-tier hit/miss counters live
+    here; engines expose them and :meth:`reset_stats` rewinds them at
+    each run.
     """
 
-    def __init__(
-        self,
-        *,
-        enabled: bool,
-        shared: SharedPiCache | None,
-        kernel_method: str,
-        resolved_method: str,
-    ) -> None:
+    def __init__(self, *, enabled: bool, shared: SharedPiCache | None) -> None:
         self.enabled = bool(enabled)
         self.shared = shared if self.enabled else None
-        self.kernel_method = kernel_method
-        self.resolved_method = resolved_method
         self._local: dict[bytes, np.ndarray] = {}
         self.local_hits = 0
         self.shared_hits = 0
@@ -129,7 +119,7 @@ class JoinDistributionCache:
             for tier in ("local", "shared", "disk", "miss")
         }
         self._obs_kernel_seconds = registry.histogram(
-            "repro_join_kernel_seconds", method=resolved_method
+            "repro_join_kernel_seconds", method="quadrature"
         )
 
     def reset_stats(self) -> None:
@@ -166,7 +156,7 @@ class JoinDistributionCache:
             return pi
         shared_key = None
         if self.shared is not None:
-            shared_key = SharedPiCache.key(self.resolved_method, u)
+            shared_key = SharedPiCache.key(u)
             pi, tier = self.shared.fetch(shared_key)
             if pi is not None:
                 if tier == "disk":
@@ -186,7 +176,7 @@ class JoinDistributionCache:
         return pi
 
     def _run_kernel(self, u: np.ndarray) -> np.ndarray:
-        """Dispatch the exact join kernel, timed through the clock seam.
+        """Run the exact join kernel, timed through the clock seam.
 
         The duration feeds the kernel-latency histogram always and the
         trace (as a ``join_kernel`` span) only when a tracer is
@@ -194,12 +184,10 @@ class JoinDistributionCache:
         miss granularity keeps the null-overhead guarantee.
         """
         start = obs_monotonic()
-        pi = exact_join_probabilities(u, method=self.kernel_method)
+        pi = exact_join_probabilities(u)
         dur = obs_monotonic() - start
         self._obs_kernel_seconds.observe(dur)
-        complete_span(
-            "join_kernel", dur, method=self.resolved_method, k=int(u.shape[0])
-        )
+        complete_span("join_kernel", dur, method="quadrature", k=int(u.shape[0]))
         return pi
 
     def _store_local(self, key: bytes, pi: np.ndarray) -> None:
@@ -217,19 +205,17 @@ class CountingSimulator:
     joint join counts are drawn (see :data:`JOIN_STRATEGIES`); both
     choices are exact in distribution.
 
-    ``join_kernel_method`` selects the exact join kernel's back end
-    (``"auto"``/``"dp"``/``"fft"``/``"quadrature"``, see
-    :func:`repro.util.mathx.exact_join_probabilities`); ``pi_cache``
-    enables the content-addressed join-distribution cache, which makes
-    rounds whose mark probabilities repeat (unchanged deficits, or
-    saturated feedback) skip the kernel entirely.  ``shared_pi_cache``
-    additionally plugs the simulator into a cross-trial
-    :class:`~repro.sim.pi_cache.SharedPiCache`, so *other* trials'
-    kernel work is reused too (keyed by the resolved back end plus the
-    signature — see that module for why stale or cross-method reuse is
-    structurally impossible).  All three knobs are pure performance
-    choices: every combination draws from the identical action
-    distribution, and cached runs are bit-identical to uncached ones.
+    ``pi_cache`` enables the content-addressed join-distribution cache,
+    which makes rounds whose mark probabilities repeat (unchanged
+    deficits, or saturated feedback) skip the kernel
+    (:func:`repro.util.mathx.exact_join_probabilities`) entirely.
+    ``shared_pi_cache`` additionally plugs the simulator into a
+    cross-trial :class:`~repro.sim.pi_cache.SharedPiCache`, so *other*
+    trials' kernel work is reused too (keyed by the numerics tag plus the
+    signature — see that module for why stale reuse is structurally
+    impossible).  Both knobs are pure performance choices: every
+    combination draws from the identical action distribution, and cached
+    runs are bit-identical to uncached ones.
     Cache effectiveness is reported by :attr:`pi_cache_local_hits`
     (this simulator's own cache), :attr:`pi_cache_shared_hits` (served
     by the shared cache's memory tier), :attr:`pi_cache_disk_hits`
@@ -256,7 +242,6 @@ class CountingSimulator:
         seed: int | np.random.Generator | None = None,
         population: PopulationSchedule | None = None,
         join_strategy: str = "exact",
-        join_kernel_method: str = "auto",
         pi_cache: bool = True,
         shared_pi_cache: SharedPiCache | None = None,
     ) -> None:
@@ -265,11 +250,6 @@ class CountingSimulator:
                 f"join_strategy must be one of {JOIN_STRATEGIES}, got {join_strategy!r}"
             )
         self.join_strategy = join_strategy
-        try:
-            resolve_join_kernel_method(0, join_kernel_method)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"join_kernel_method: {exc}") from exc
-        self.join_kernel_method = join_kernel_method
         if shared_pi_cache is not None and not isinstance(shared_pi_cache, SharedPiCache):
             raise ConfigurationError(
                 "shared_pi_cache must be a repro.sim.pi_cache.SharedPiCache, "
@@ -302,16 +282,8 @@ class CountingSimulator:
             )
         self._n_current = int(self.population.population_at(0))
         self.k = self.schedule.k
-        # The concrete back end "auto" resolves to for this k: shared-cache
-        # keys embed it so only identically-computed entries are reused.
-        self._resolved_kernel_method = resolve_join_kernel_method(
-            self.k, self.join_kernel_method
-        )
         self._join_cache = JoinDistributionCache(
-            enabled=self.pi_cache_enabled,
-            shared=self.shared_pi_cache,
-            kernel_method=self.join_kernel_method,
-            resolved_method=self._resolved_kernel_method,
+            enabled=self.pi_cache_enabled, shared=self.shared_pi_cache
         )
         if initial_loads is None:
             initial_loads = np.zeros(self.k, dtype=np.int64)
@@ -535,10 +507,10 @@ class CountingSimulator:
 
         Each ant marks task ``j`` w.p. ``underload_probs[j]`` independently
         and joins a uniform marked task (idle if none).  The default draws
-        one multinomial over the exact action distribution (cached by
-        signature, DP or FFT PMF per ``join_kernel_method``) for any
-        ``k``; ``join_strategy="per_ant"`` samples every ant (identical
-        law, kept as a cross-check).
+        one multinomial over the exact action distribution (the quadrature
+        kernel, cached by signature) for any ``k``;
+        ``join_strategy="per_ant"`` samples every ant (identical law, kept
+        as a cross-check).
         """
         if idle <= 0:
             return np.zeros(self.k, dtype=np.int64)

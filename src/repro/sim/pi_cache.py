@@ -5,15 +5,17 @@ point starts from the same loads, and with integer-valued feedback the
 same deficit signatures recur across trials and even across sweep
 points.  A :class:`SharedPiCache` is one content-addressed store that
 many :class:`~repro.sim.counting.CountingSimulator` instances read
-through, so the deconvolution/quadrature kernel runs once per *distinct*
-``(back end, signature)`` pair per process instead of once per trial.
+through, so the quadrature join kernel runs once per *distinct*
+signature per process instead of once per trial.
 
 Correctness is structural, exactly as for the per-simulator cache: the
-key embeds the mark-probability vector ``u`` byte-for-byte plus the
-*resolved* kernel back end (``dp``/``fft``/``quadrature``), so a hit can
-only ever return the very array the same computation would produce —
-shared-cache runs are bit-identical to per-trial-cache runs.  Stored
-arrays are marked read-only so no simulator can corrupt another's view.
+key embeds the mark-probability vector ``u`` byte-for-byte plus a tag
+naming the engine's numerics version (:data:`PI_KEY_TAG`, from
+:data:`repro.store.NUMERICS_VERSION`), so a hit can only ever return the
+very array the current kernel would produce — shared-cache runs are
+bit-identical to per-trial-cache runs, and entries persisted by a kernel
+with other bits are never served.  Stored arrays are marked read-only so
+no simulator can corrupt another's view.
 
 Process-pool safety: instances pickle as a lightweight *token*, not as
 their contents.  Unpickling resolves the token against a per-process
@@ -47,10 +49,17 @@ import numpy as np
 
 from repro.obs import get_registry
 from repro.obs import monotonic as obs_monotonic
+from repro.store import NUMERICS_VERSION
 from repro.store.pi_disk import DiskPiCache
 from repro.util.validation import check_integer
 
-__all__ = ["SharedPiCache", "SHARED_PI_CACHE_MAX_ENTRIES"]
+__all__ = ["PI_KEY_TAG", "SharedPiCache", "SHARED_PI_CACHE_MAX_ENTRIES"]
+
+#: First component of every join-cache key, memory and disk tiers alike
+#: (on disk it names the ``pi/<tag>/`` directory).  It changes with
+#: :data:`~repro.store.NUMERICS_VERSION`, so a store written under older
+#: numerics keeps its files but never serves them.
+PI_KEY_TAG = f"numerics-{NUMERICS_VERSION}"
 
 #: Default capacity of a shared cache.  Each entry holds one ``(k + 1,)``
 #: float64 array; at k = 8192 a full cache is ~270 MB, so bound it well
@@ -96,9 +105,9 @@ def _resolve_token(
 class SharedPiCache:
     """Read-through, content-addressed join-distribution store.
 
-    Keys are ``(resolved_method, u.tobytes())`` pairs built by
-    :meth:`key`; values are read-only ``(k + 1,)`` float64 arrays.  The
-    cache is deliberately dumb — no locking (simulators use it from one
+    Keys are ``(PI_KEY_TAG, u.tobytes())`` pairs built by :meth:`key`;
+    values are read-only ``(k + 1,)`` float64 arrays.  The cache is
+    deliberately dumb — no locking (simulators use it from one
     thread per process), FIFO eviction at ``max_entries``, and
     :attr:`hits` / :attr:`disk_hits` / :attr:`misses` counters so sweeps
     can report how much kernel work was amortized across trials (and,
@@ -139,16 +148,10 @@ class SharedPiCache:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def key(resolved_method: str, u: np.ndarray) -> tuple[str, bytes]:
-        """The cache key for mark probabilities ``u`` under a back end.
-
-        The method component must be a *resolved* back end name (use
-        :func:`repro.util.mathx.resolve_join_kernel_method`), never
-        ``"auto"``: two simulators whose ``"auto"`` resolves differently
-        must not share entries, or runs would stop being bit-identical
-        to their uncached counterparts.
-        """
-        return (resolved_method, u.tobytes())
+    def key(u: np.ndarray) -> tuple[str, bytes]:
+        """The cache key for mark probabilities ``u``: the numerics tag
+        plus the byte image of ``u``."""
+        return (PI_KEY_TAG, u.tobytes())
 
     def fetch(self, key: tuple[str, bytes]) -> tuple[np.ndarray | None, str | None]:
         """``(distribution, tier)`` — tier ``"memory"``, ``"disk"``, or ``None``.

@@ -22,7 +22,7 @@ artifacts durable and shareable:
   persistent kernel cache living under the same root.
 * :mod:`repro.store.pi_disk` — :class:`DiskPiCache`, the disk tier of
   the counting engine's join-distribution cache: same
-  ``(resolved backend, u.tobytes())`` keys as the in-memory
+  ``(numerics tag, u.tobytes())`` keys as the in-memory
   :class:`~repro.sim.pi_cache.SharedPiCache`, memory-mapped read-only
   arrays, write-then-rename so concurrent ProcessPool workers are safe.
 * :mod:`repro.store.locks` — a minimal advisory file lock for
@@ -33,7 +33,13 @@ never on ``repro.sim`` / ``repro.scenario`` — so the simulation layers
 can import it freely.
 """
 
-from repro.store.digest import STORE_FORMAT, canonical_json, digest_hex, seed_from_digest
+from repro.store.digest import (
+    NUMERICS_VERSION,
+    STORE_FORMAT,
+    canonical_json,
+    digest_hex,
+    seed_from_digest,
+)
 from repro.store.locks import (
     LEASE_SUFFIX,
     FileLock,
@@ -49,6 +55,7 @@ from repro.store.records import Record, delete_record, read_record, write_record
 from repro.store.store import ResultStore
 
 __all__ = [
+    "NUMERICS_VERSION",
     "STORE_FORMAT",
     "canonical_json",
     "digest_hex",

@@ -29,6 +29,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 
 __all__ = [
+    "NUMERICS_VERSION",
     "STORE_FORMAT",
     "canonical_json",
     "digest_hex",
@@ -41,6 +42,17 @@ __all__ = [
 #: records then simply stop matching (read as absent) instead of being
 #: misinterpreted.
 STORE_FORMAT = 1
+
+#: Version of the engine's numerics: the bits the counting engine draws
+#: from for a given seed.  Sweep-point digests and join-cache keys embed
+#: it, so results computed under other numerics read as absent instead
+#: of mixing with new ones.  Bump it with *any* change that alters engine
+#: output bits (join kernel, quadrature nodes, sampling order, ...); the
+#: golden-record pins in ``tests/scenario/test_golden_records.py`` fail
+#: when the bits change under an unchanged version.  Version 2: the join
+#: kernel is Gauss-Legendre quadrature at every k, with nodes from
+#: ``scipy.special.roots_legendre``.
+NUMERICS_VERSION = 2
 
 
 def canonical_json(obj: Any) -> str:

@@ -1,7 +1,7 @@
 """Disk tier of the join-distribution cache: pay the kernel once per machine.
 
 The in-memory :class:`~repro.sim.pi_cache.SharedPiCache` amortizes the
-quadrature/FFT join kernels across the trials of one process;
+quadrature join kernel across the trials of one process;
 :class:`DiskPiCache` extends that across *processes and sessions*: every
 computed distribution is persisted as a ``.npy`` file named by the
 SHA-256 of its cache key, so the second sweep on a machine — or the
@@ -9,9 +9,11 @@ sibling worker of a ProcessPool — reads distributions instead of
 recomputing them.
 
 Correctness is inherited from the keying scheme: the key is
-``(resolved backend, u.tobytes())`` — the byte image of the mark
-probabilities plus the concrete kernel back end — so a file can only
-ever contain the very array the same computation would produce, and
+``(numerics tag, u.tobytes())`` — the byte image of the mark
+probabilities plus a tag naming the engine's numerics version
+(``repro.sim.pi_cache.PI_KEY_TAG``) — so a file can only ever contain
+the very array the same computation would produce, entries written under
+other numerics live in another directory and are never read, and
 ``np.save``/``np.load`` round-trip float64 bit-exactly, keeping
 disk-cached runs bit-identical to cold ones.  Reads additionally
 validate dtype and shape (``(k + 1,)``, with ``k`` recovered from the
@@ -51,7 +53,7 @@ class DiskPiCache:
     ----------
     root:
         Directory holding the cache (created on first write).  Layout:
-        ``<root>/<backend>/<hh>/<sha256-of-u-bytes>.npy`` with a 2-hex
+        ``<root>/<tag>/<hh>/<sha256-of-u-bytes>.npy`` with a 2-hex
         shard level so no directory grows unboundedly.
     mmap:
         Memory-map reads (default).  Pass ``False`` to load entries into
@@ -79,9 +81,9 @@ class DiskPiCache:
 
     def path_for(self, key: PiKey) -> Path:
         """The file that does / would hold this key's distribution."""
-        method, u_bytes = key
+        tag, u_bytes = key
         name = hashlib.sha256(u_bytes).hexdigest()
-        return self.root / method / name[:2] / f"{name}{_SUFFIX}"
+        return self.root / tag / name[:2] / f"{name}{_SUFFIX}"
 
     # ------------------------------------------------------------------
     def get(self, key: PiKey) -> npt.NDArray[np.float64] | None:

@@ -6,7 +6,7 @@ point multiple processes at)::
     <root>/
       results/<hh>/<digest>.json     record manifests (commit points)
       results/<hh>/<digest>.npz      record payloads (numeric arrays)
-      pi/<backend>/<hh>/<sha>.npy    persistent join-distribution cache
+      pi/<tag>/<hh>/<sha>.npy        persistent join-distribution cache
       sched/<grid>/...               scheduler state (grids + leases)
       locks/gc.lock                  maintenance mutex
 

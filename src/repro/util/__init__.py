@@ -6,7 +6,6 @@ from repro.util.mathx import (
     logistic,
     inverse_logistic,
     sigmoid_lack_probability,
-    poisson_binomial_pmf,
     exact_join_probabilities,
     enumerate_subset_join_probabilities,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "logistic",
     "inverse_logistic",
     "sigmoid_lack_probability",
-    "poisson_binomial_pmf",
     "exact_join_probabilities",
     "enumerate_subset_join_probabilities",
     "DEFAULT_ARRAY_BACKEND",

@@ -18,47 +18,19 @@ from repro.exceptions import ConfigurationError
 
 __all__ = [
     "ENUMERATION_K_LIMIT",
-    "FFT_K_THRESHOLD",
-    "QUADRATURE_K_THRESHOLD",
-    "JOIN_KERNEL_METHODS",
     "log1pexp",
     "logistic",
     "inverse_logistic",
     "sigmoid_lack_probability",
-    "poisson_binomial_pmf",
-    "fft_poisson_binomial_pmf",
-    "fft_join_probabilities",
-    "quadrature_join_probabilities",
     "exact_join_probabilities",
-    "resolve_join_kernel_method",
     "enumerate_subset_join_probabilities",
 ]
 
 #: Largest task count for which the O(2^k k) subset enumerator is allowed.
-#: Single source of truth shared with the counting engine: above this the
-#: enumerator refuses, and callers must use :func:`exact_join_probabilities`
-#: (identical distribution, O(k^2)) instead.
+#: Above this the enumerator refuses, and callers must use
+#: :func:`exact_join_probabilities` (identical distribution, loop-free in
+#: k) instead.
 ENUMERATION_K_LIMIT = 14
-
-#: Task count at which :func:`exact_join_probabilities` auto-dispatches
-#: from the O(k^2) DP PMF to the O(k log^2 k) FFT PMF.  The DP does ``k``
-#: dependent O(k) slice updates while the FFT does ~``3 log2 k`` batched
-#: transforms, so the crossover sits well below 10^3 on any hardware;
-#: 512 is a conservative choice validated by ``benchmarks/bench_join_kernel``.
-FFT_K_THRESHOLD = 512
-
-#: Task count at which :func:`exact_join_probabilities` auto-dispatches
-#: from the FFT-PMF + leave-one-out deconvolution to the loop-free
-#: Gauss-Legendre quadrature kernel.  The deconvolution back end is a
-#: ``k``-step Python recurrence (O(k) numpy work per step but ~10 us of
-#: interpreter overhead each), while the quadrature evaluates one batched
-#: ``(nodes x k)`` log/exp/matvec with no per-``k`` Python loop at all;
-#: past a few thousand tasks the recurrence overhead dominates
-#: (``benchmarks/bench_join_kernel.py`` records the crossover).
-QUADRATURE_K_THRESHOLD = 2048
-
-#: Accepted ``method`` values for :func:`exact_join_probabilities`.
-JOIN_KERNEL_METHODS = ("auto", "dp", "fft", "quadrature")
 
 #: Nodes whose log-polynomial value falls below this contribute less than
 #: ``exp(-200) * k^2 ~ 1e-78`` to any join probability (see
@@ -173,134 +145,25 @@ def _normalize_join_distribution(pi: np.ndarray, k: int) -> np.ndarray:
     return pi / total
 
 
-def poisson_binomial_pmf(u: npt.ArrayLike) -> np.ndarray:
-    """PMF of a Poisson-binomial count ``B = sum_j Bernoulli(u[j])``.
-
-    Standard O(k^2) dynamic programme: convolve the running PMF with one
-    Bernoulli factor at a time, each step vectorized over the support.
-
-    Returns
-    -------
-    Array of shape ``(k + 1,)`` with ``pmf[m] = P[B = m]``.
-    """
-    return _dp_pmf(_check_probability_vector(u))
-
-
-def _dp_pmf(u: np.ndarray) -> np.ndarray:
-    """O(k^2) DP Poisson-binomial PMF core (``u`` already validated)."""
-    k = u.shape[0]
-    pmf = np.zeros(k + 1, dtype=np.float64)
-    pmf[0] = 1.0
-    for j in range(k):
-        p = u[j]
-        if p == 0.0:
-            continue
-        pmf[1 : j + 2] = pmf[1 : j + 2] * (1.0 - p) + pmf[0 : j + 1] * p
-        pmf[0] *= 1.0 - p
-    return pmf
-
-
-def fft_poisson_binomial_pmf(u: npt.ArrayLike) -> np.ndarray:
-    """PMF of a Poisson-binomial count via divide-and-conquer FFT.
-
-    The PMF is the coefficient vector of ``P(t) = prod_j (q_j + u_j t)``.
-    Instead of the O(k^2) sequential DP, the factors are merged pairwise
-    bottom-up; every level multiplies all sibling pairs at once with one
-    *batched* real FFT (``numpy.fft.rfft`` along the last axis), so the
-    whole build is O(k log^2 k) flops in ~3 log2(k) numpy calls.  The
-    leaf list is padded with identity polynomials (``1``) to a power of
-    two so every level stays rectangular.
-
-    All true coefficients are non-negative and bounded by 1, so FFT
-    round-off is ~1e-15 absolute; tiny negative dust is clipped and the
-    result renormalized to sum exactly to 1.
-
-    Returns
-    -------
-    Array of shape ``(k + 1,)`` with ``pmf[m] = P[B = m]``.
-    """
-    return _fft_pmf(_check_probability_vector(u))
-
-
-def _fft_pmf(u: np.ndarray) -> np.ndarray:
-    """FFT divide-and-conquer PMF core (``u`` already validated)."""
-    k = u.shape[0]
-    if k == 0:
-        return np.ones(1, dtype=np.float64)
-    n_leaves = 1 << (k - 1).bit_length()
-    # Leaf polynomials q_j + u_j t, padded with the identity polynomial.
-    polys = np.zeros((n_leaves, 2), dtype=np.float64)
-    polys[:k, 0] = 1.0 - u
-    polys[:k, 1] = u
-    polys[k:, 0] = 1.0
-    while polys.shape[0] > 1:
-        m = polys.shape[1]
-        out_len = 2 * m - 1
-        n_fft = 1 << (out_len - 1).bit_length()
-        fa = np.fft.rfft(polys[0::2], n_fft, axis=1)
-        fb = np.fft.rfft(polys[1::2], n_fft, axis=1)
-        polys = np.fft.irfft(fa * fb, n_fft, axis=1)[:, :out_len]
-    pmf = polys[0][: k + 1]
-    np.clip(pmf, 0.0, 1.0, out=pmf)
-    total = pmf.sum()
-    if not np.isclose(total, 1.0, rtol=0.0, atol=1e-9 * max(k, 1)):
-        raise ConfigurationError(f"FFT Poisson-binomial PMF does not sum to 1 (got {total})")
-    return pmf / total
-
-
-def _leave_one_out_join(u: np.ndarray, pmf: np.ndarray) -> np.ndarray:
-    """Join distribution from a full-count PMF by leave-one-out deconvolution.
-
-    Shared back end of :func:`exact_join_probabilities` (DP PMF) and
-    :func:`fft_join_probabilities` (FFT PMF): every leave-one-out PMF is
-    recovered by deconvolving one Bernoulli factor — a two-term
-    recurrence run forward where ``u[j] <= 1/2`` and backward where
-    ``u[j] > 1/2`` so the error amplification factor never exceeds 1 —
-    vectorized across tasks, so total work is O(k^2).
-    """
-    k = u.shape[0]
-    pi = np.zeros(k + 1, dtype=np.float64)
-    # Stay idle iff no task is marked.
-    pi[k] = pmf[0]
-    active = np.nonzero(u > 0.0)[0]
-    if active.size:
-        ua = u[active]
-        qa = 1.0 - ua
-        # Leave-one-out PMFs: g[i, m] = P[B_j = m] for j = active[i].
-        # B_j has support 0..k-1 (task j itself is excluded).
-        g = np.empty((active.size, k), dtype=np.float64)
-        fwd = ua <= 0.5
-        if np.any(fwd):
-            uf, qf = ua[fwd], qa[fwd]
-            gf = np.empty((uf.size, k), dtype=np.float64)
-            gf[:, 0] = pmf[0] / qf
-            for m in range(1, k):
-                gf[:, m] = (pmf[m] - uf * gf[:, m - 1]) / qf
-            g[fwd] = gf
-        bwd = ~fwd
-        if np.any(bwd):
-            ub, qb = ua[bwd], qa[bwd]
-            gb = np.empty((ub.size, k), dtype=np.float64)
-            gb[:, k - 1] = pmf[k] / ub
-            for m in range(k - 1, 0, -1):
-                gb[:, m - 1] = (pmf[m] - qb * gb[:, m]) / ub
-            g[bwd] = gb
-        # Deconvolution dust: clip and renormalize each leave-one-out PMF.
-        np.clip(g, 0.0, 1.0, out=g)
-        g /= g.sum(axis=1, keepdims=True)
-        # pi[j] = u_j * E[1/(1+B_j)] = u_j * sum_m g[j, m] / (m + 1).
-        pi[active] = ua * (g @ (1.0 / np.arange(1.0, k + 1.0)))
-    return pi
-
-
 @lru_cache(maxsize=16)
 def _gauss_legendre_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, 1].
 
+    The nodes come from :func:`scipy.special.roots_legendre`, which takes
+    the eigenvalues of the banded (tridiagonal) Jacobi matrix and polishes
+    them with one Newton step.  ``numpy.polynomial.legendre.leggauss``
+    computes the same nodes with a dense ``eigvalsh`` instead: O(m^3)
+    work through the threaded BLAS, which in concurrently forked worker
+    processes runs many times slower than in a lone process.
+    The import is local: ``scipy.special`` is already loaded by the
+    counting engine's ``scipy.stats`` import.
+
     Nodes come back sorted ascending; both arrays are marked read-only so
     the cache can hand the same objects to every caller.
     """
-    x, w = np.polynomial.legendre.leggauss(m)
+    from scipy.special import roots_legendre
+
+    x, w = roots_legendre(m)
     t = 0.5 * (x + 1.0)
     w = 0.5 * w
     t.setflags(write=False)
@@ -318,10 +181,11 @@ def _quadrature_join(u: np.ndarray) -> np.ndarray:
     ``pi_j = u_j * integral_0^1 P(t) / (q_j + u_j t) dt``.
 
     The integrand is the degree-(a-1) leave-one-out polynomial (``a`` the
-    number of active tasks), so Gauss-Legendre with ``ceil(a/2)`` nodes
-    integrates it *exactly* — this is the same distribution as the DP/FFT
-    deconvolution, not an approximation.  Per node ``t_s`` the integrand
-    values for all ``j`` are recovered from one shared product:
+    number of active tasks), and an ``m``-node Gauss-Legendre rule is
+    exact for every polynomial of degree ``<= 2m - 1``, so ``ceil(a/2)``
+    nodes integrate it *exactly* — this is the exact join law, not an
+    approximation.  Per node ``t_s`` the integrand values for all ``j``
+    are recovered from one shared product:
     ``log P(t_s) - log(q_j + u_j t_s)``, evaluated as a batched
     ``(nodes x tasks)`` ``log1p``/``exp``/matvec — loop-free in ``k``
     (the only Python loop is over constant-size node blocks).
@@ -375,70 +239,7 @@ def _quadrature_join(u: np.ndarray) -> np.ndarray:
     return pi
 
 
-def quadrature_join_probabilities(u: npt.ArrayLike) -> np.ndarray:
-    """Exact join probabilities via the Gauss-Legendre quadrature kernel.
-
-    Identical distribution to :func:`exact_join_probabilities` with
-    ``method="dp"``/``"fft"`` (property-tested to 1e-10 up to k = 4096);
-    unlike those it never builds the count PMF or runs the k-step
-    deconvolution recurrence — see :func:`_quadrature_join`.  This is the
-    fastest back end past :data:`QUADRATURE_K_THRESHOLD` tasks and what
-    makes exact k = 8192..16384 counting scenarios practical.
-
-    Returns
-    -------
-    Array of shape ``(k + 1,)``: entries ``0..k-1`` are join probabilities,
-    entry ``k`` is the stay-idle probability.  Sums to 1.
-    """
-    return exact_join_probabilities(u, method="quadrature")
-
-
-def resolve_join_kernel_method(k: int, method: str = "auto") -> str:
-    """The concrete kernel back end used for ``k`` tasks under ``method``.
-
-    ``"auto"`` resolves to ``"dp"`` below :data:`FFT_K_THRESHOLD`,
-    ``"fft"`` from there up to :data:`QUADRATURE_K_THRESHOLD`, and
-    ``"quadrature"`` at or above it; concrete names resolve to
-    themselves.  Exposed so callers (e.g. the cross-trial join cache) can
-    key results by the back end that actually ran.
-
-    Raises
-    ------
-    ConfigurationError
-        (a :class:`ValueError`) if ``method`` is not one of
-        :data:`JOIN_KERNEL_METHODS`.
-    """
-    if method not in JOIN_KERNEL_METHODS:
-        raise ConfigurationError(
-            f"join kernel method must be one of {JOIN_KERNEL_METHODS}, got {method!r}"
-        )
-    if method != "auto":
-        return method
-    if k >= QUADRATURE_K_THRESHOLD:
-        return "quadrature"
-    if k >= FFT_K_THRESHOLD:
-        return "fft"
-    return "dp"
-
-
-def fft_join_probabilities(u: npt.ArrayLike) -> np.ndarray:
-    """Exact join probabilities with the FFT-built full-count PMF.
-
-    Identical distribution to :func:`exact_join_probabilities`; only the
-    Poisson-binomial PMF construction differs
-    (:func:`fft_poisson_binomial_pmf`, O(k log^2 k), vs the O(k^2) DP).
-    The leave-one-out deconvolution back end is shared, so the two paths
-    agree to FFT round-off (~1e-15 absolute; property-tested to 1e-10).
-
-    Returns
-    -------
-    Array of shape ``(k + 1,)``: entries ``0..k-1`` are join probabilities,
-    entry ``k`` is the stay-idle probability.  Sums to 1.
-    """
-    return exact_join_probabilities(u, method="fft")
-
-
-def exact_join_probabilities(u: npt.ArrayLike, *, method: str = "auto") -> np.ndarray:
+def exact_join_probabilities(u: npt.ArrayLike) -> np.ndarray:
     """Exact per-task join probabilities for an idle ant.
 
     Same distribution as :func:`enumerate_subset_join_probabilities` —
@@ -449,25 +250,19 @@ def exact_join_probabilities(u: npt.ArrayLike, *, method: str = "auto") -> np.nd
     ``pi[j] = u[j] * E[1 / (1 + B_j)]``
 
     where ``B_j`` is the Poisson-binomial count of *other* marked tasks.
-    Three interchangeable back ends compute this: ``"dp"`` and ``"fft"``
-    build the full-count PMF (O(k^2) DP :func:`poisson_binomial_pmf` vs
-    O(k log^2 k) :func:`fft_poisson_binomial_pmf`) and deconvolve one
-    Bernoulli factor per task (:func:`_leave_one_out_join`, a k-step
-    recurrence); ``"quadrature"`` evaluates the equivalent Gauss-Legendre
-    integral ``pi_j = u_j * integral P(t)/(q_j + u_j t) dt`` in batched
-    matrix ops with no k-step loop (:func:`_quadrature_join`).  All three
-    are exact in law and agree to ~1e-12.
+    The expectation is evaluated as the equivalent integral
+    ``pi_j = u_j * integral_0^1 P(t)/(q_j + u_j t) dt`` by Gauss-Legendre
+    quadrature with enough nodes to be exact (:func:`_quadrature_join`):
+    batched matrix ops, no k-step loop, at every ``k``.
+
+    Any change to the bits this returns changes the counting engine's
+    draws, so it must come with a bump of
+    :data:`repro.store.NUMERICS_VERSION`.
 
     Parameters
     ----------
     u:
         Per-task mark probabilities in ``[0, 1]``, shape ``(k,)``.
-    method:
-        A concrete back end (``"dp"``, ``"fft"``, ``"quadrature"``) or
-        ``"auto"`` (default), which picks DP below
-        :data:`FFT_K_THRESHOLD` tasks, FFT up to
-        :data:`QUADRATURE_K_THRESHOLD`, and quadrature beyond — see
-        :func:`resolve_join_kernel_method`.
 
     Returns
     -------
@@ -476,15 +271,9 @@ def exact_join_probabilities(u: npt.ArrayLike, *, method: str = "auto") -> np.nd
     """
     u = _check_probability_vector(u)
     k = u.shape[0]
-    resolved = resolve_join_kernel_method(k, method)
     if k == 0:
         return np.ones(1, dtype=np.float64)
-    if resolved == "quadrature":
-        pi = _quadrature_join(u)
-    else:
-        pmf = _fft_pmf(u) if resolved == "fft" else _dp_pmf(u)
-        pi = _leave_one_out_join(u, pmf)
-    return _normalize_join_distribution(pi, k)
+    return _normalize_join_distribution(_quadrature_join(u), k)
 
 
 def enumerate_subset_join_probabilities(u: npt.ArrayLike) -> np.ndarray:
@@ -502,7 +291,8 @@ def enumerate_subset_join_probabilities(u: npt.ArrayLike) -> np.ndarray:
     Complexity ``O(2^k * k)``, allowed only for ``k <=``
     :data:`ENUMERATION_K_LIMIT`.  Retained as the brute-force test oracle
     for :func:`exact_join_probabilities`, which computes the identical
-    distribution in O(k^2) and is what the counting engine uses.
+    distribution in O(k^2) loop-free flops and is what the counting engine
+    uses.
 
     Returns
     -------

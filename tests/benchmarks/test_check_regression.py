@@ -117,19 +117,21 @@ class TestAgainstCommittedBaseline:
 
     def test_synthetic_two_x_slowdown_fails_the_gate(self, baseline):
         fresh = copy.deepcopy(baseline)
-        fresh["join_kernel_methods"]["k=8192"]["quadrature_seconds_per_call"] *= 2.0
+        fresh["kernel"]["k=8192"]["seconds_per_call"] *= 2.0
         violations = check_regression.check_regressions(baseline, fresh)
         assert violations, "a 2x quadrature-kernel slowdown must fail the gate"
-        assert any("quadrature_seconds_per_call" in v for v in violations)
+        assert any("kernel.k=8192.seconds_per_call" in v for v in violations)
 
     def test_baseline_carries_the_quadrature_floors(self, baseline):
-        floors = baseline["floors"]
-        assert floors["join_kernel_methods.k=8192.speedup_vs_dp"] >= 1.0
-        assert floors["join_kernel_methods.k=8192.speedup_vs_fft"] >= 1.0
-        # And the recorded run actually cleared them: quadrature beat
-        # both deconvolution back ends end to end at k = 8192.
-        row = baseline["join_kernel_methods"]["k=8192"]
-        assert row["speedup_vs_dp"] > 1.0 and row["speedup_vs_fft"] > 1.0
+        # The kernel is quadrature at every k: its rows span k = 12..8192,
+        # its speedup over subset enumeration stays floored, and no floor
+        # or row names a deleted back end.
+        assert {"k=12", "k=64", "k=256", "k=1024", "k=8192"} <= set(baseline["kernel"])
+        assert baseline["floors"]["speedup_at_k12"] >= 1.0
+        assert baseline["speedup_at_k12"] >= baseline["floors"]["speedup_at_k12"]
+        paths = [path for path, _ in check_regression.iter_numeric_leaves(baseline)]
+        for name in ("fft", "dp_", "join_kernel_methods", "heterogeneous"):
+            assert not any(name in path for path in paths + list(baseline["floors"])), name
 
 
 class TestMainCli:

@@ -170,6 +170,69 @@ class TestComponentSpecs:
             FeedbackSpec("calibrated_sigmoid", {"gamma_star": 0.01}).build()
 
 
+class TestUnknownParams:
+    """Param names are checked against the factory's signature when the
+    spec is constructed, not when it is built."""
+
+    @pytest.mark.parametrize(
+        "spec_cls, name",
+        [
+            (AlgorithmSpec, "ant"),
+            (FeedbackSpec, "sigmoid"),
+            (DemandSpec, "uniform"),
+            (PopulationSpec, "static"),
+            (EngineSpec, "counting"),
+        ],
+        ids=["algorithm", "feedback", "demand", "population", "engine"],
+    )
+    def test_unknown_param_raises_and_lists_accepted_names(self, spec_cls, name):
+        with pytest.raises(ConfigurationError, match=r"unknown \S.* params \['warp'\]") as info:
+            spec_cls(name, {"warp": 1})
+        accepted = {
+            AlgorithmSpec: "gamma",
+            FeedbackSpec: "lam",
+            DemandSpec: "load_fraction",
+            PopulationSpec: "'n'",
+            EngineSpec: "pi_cache",
+        }[spec_cls]
+        assert "accepted:" in str(info.value) and accepted in str(info.value)
+
+    def test_scenario_spec_and_with_param_are_checked(self):
+        with pytest.raises(ConfigurationError, match="warp"):
+            base_spec(engine={"name": "counting", "params": {"warp": 1}})
+        with pytest.raises(ConfigurationError, match="warp"):
+            base_spec().with_param("algorithm.warp", 1)
+
+    def test_kwargs_factories_accept_any_name(self):
+        from repro.scenario import register_engine, unregister_engine
+
+        def plugin(algorithm, demand, feedback, **options):
+            return options
+
+        register_engine("kwargs_plugin", plugin, example={})
+        try:
+            assert EngineSpec("kwargs_plugin", {"anything": 1}).params == {"anything": 1}
+        finally:
+            unregister_engine("kwargs_plugin")
+
+    def test_accepted_names_are_computed_once_per_factory(self, monkeypatch):
+        import repro.scenario.spec as spec_mod
+
+        spec_mod._factory_params.cache_clear()
+        calls = []
+        real = spec_mod.inspect.signature
+
+        def counted(obj, *args, **kwargs):
+            calls.append(obj)
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(spec_mod.inspect, "signature", counted)
+        spec = base_spec(engine={"name": "counting"})
+        for gamma in (0.01, 0.02, 0.03):
+            spec.with_param("algorithm.gamma", gamma).build()
+        assert len(calls) == len(set(calls)) > 0
+
+
 class TestScenarioSpec:
     def test_dict_components_coerced(self):
         spec = base_spec()
@@ -212,20 +275,17 @@ class TestScenarioSpec:
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_heterogeneous_spec_builds_and_runs(self):
-        # Per-task lambda + power-law demands + FFT/cache engine knobs:
-        # the whole PR 3 surface, declaratively.
+        # Per-task lambda + power-law demands + the cache engine knob,
+        # declaratively.
         spec = base_spec(
             demand={"name": "powerlaw", "params": {"n": N, "k": K, "alpha": 1.0}},
             feedback={"name": "sigmoid", "params": {"lam": [0.5, 1.0, 1.5, 2.0]}},
-            engine={
-                "name": "counting",
-                "params": {"join_kernel_method": "fft", "pi_cache": True},
-            },
+            engine={"name": "counting", "params": {"pi_cache": True}},
             rounds=20,
         )
         assert ScenarioSpec.from_json(spec.to_json()) == spec
         sim = spec.build()
-        assert sim.join_kernel_method == "fft" and sim.pi_cache_enabled
+        assert sim.pi_cache_enabled
         out = sim.run(spec.rounds)
         assert out.k == K
 
@@ -237,11 +297,10 @@ class TestScenarioSpec:
             spec.build()
 
     def test_engine_rejects_unknown_kernel_method_at_build(self):
-        spec = base_spec(
-            engine={"name": "counting", "params": {"join_kernel_method": "warp"}}
-        )
+        # The removed kernel knob is an unknown engine param: the spec is
+        # refused at construction, before anything could build it.
         with pytest.raises(ConfigurationError, match="join_kernel_method"):
-            spec.build()
+            base_spec(engine={"name": "counting", "params": {"join_kernel_method": "auto"}})
 
     def test_population_requires_counting_engine(self):
         with pytest.raises(ConfigurationError, match="population-aware"):

@@ -212,6 +212,22 @@ class TestDigestKeying:
         )
         assert out.resumed == [False]
 
+    def test_record_committed_under_old_numerics_reads_as_absent(self, tmp_path, monkeypatch):
+        from repro.scenario.runner import sweep_point_seed
+        from repro.store import NUMERICS_VERSION
+
+        monkeypatch.setattr(scenario_runner_mod, "NUMERICS_VERSION", NUMERICS_VERSION - 1)
+        old_seed = sweep_point_seed(binary_spec(), "algorithm.gamma", 0.02, 11)
+        old = sweep_scenario(binary_spec(), "algorithm.gamma", [0.02], trials=2, store=tmp_path)
+        monkeypatch.setattr(scenario_runner_mod, "NUMERICS_VERSION", NUMERICS_VERSION)
+        counter = RunTrialsCounter(monkeypatch)
+        new = sweep_scenario(binary_spec(), "algorithm.gamma", [0.02], trials=2, store=tmp_path)
+        assert new.resumed == [False] and counter.calls == 1
+        assert len(list(ResultStore(tmp_path).iter_records())) == 2
+        # The seed root ignores the numerics version: only the digest moves.
+        assert sweep_point_seed(binary_spec(), "algorithm.gamma", 0.02, 11) == old_seed
+        assert np.array_equal(series_stack(old), series_stack(new))
+
     def test_corrupt_record_recomputed_not_crashed(self, tmp_path):
         from repro.store.records import PAYLOAD_SUFFIX
 

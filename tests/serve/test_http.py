@@ -106,6 +106,19 @@ class TestRoutes:
         assert status == expected
         assert "error" in json.loads(raw) or json.loads(raw).get("status") == "unknown"
 
+    def test_unknown_component_param_answers_400_not_a_failed_job(self, server):
+        spec = tiny_spec().to_dict()
+        spec["engine"]["params"] = {"warp": 1}
+        bodies = [
+            {"spec": spec},
+            {"spec": tiny_spec().to_dict(), "params": {"engine.warp": 1}},
+        ]
+        for body in bodies:
+            status, raw = call(server.port, "POST", "/scenarios", json.dumps(body).encode())
+            assert status == 400
+            assert "warp" in json.loads(raw)["error"]
+        assert server.service.status().misses == 0
+
     def test_back_pressure_answers_503(self, tmp_path):
         service = ScenarioService(ResultStore(tmp_path), workers=0, max_pending=1)
         with BackgroundServer(service) as server:

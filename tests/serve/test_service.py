@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pytest
 
 import repro.serve.service as serve_service_mod
@@ -188,3 +189,64 @@ class TestLeases:
     def test_unknown_digest_is_unknown(self, tmp_path):
         service = ScenarioService(ResultStore(tmp_path), workers=0)
         assert service.state_of("ab" * 32) == "unknown"
+
+
+class _ProbedPending(dict):
+    """A pending map whose membership test runs ``hook`` after answering."""
+
+    def __init__(self, contents, hook):
+        super().__init__(contents)
+        self._hook = hook
+
+    def __contains__(self, key):
+        answer = super().__contains__(key)
+        self._hook()
+        return answer
+
+
+class TestPollRace:
+    """A poll must never answer "unknown" for a computation that is
+    finishing: whichever of ``state_of``'s reads the worker's completion
+    (commit, then lease release, then pending-map pop) lands right after,
+    the poll reads pending or committed, and the next one committed."""
+
+    @pytest.mark.parametrize("probe", ["pending", "lease", "store"])
+    def test_completion_landing_after_each_read_is_never_unknown(
+        self, tmp_path, monkeypatch, probe
+    ):
+        store = ResultStore(tmp_path)
+        service = ScenarioService(store, workers=0)
+        digest, disposition = service.submit(request_for(0.03))
+        assert disposition == "queued"
+        worker = LeaseManager(store.sched_dir / SERVE_LEASE_DIR, ttl=60.0, worker_id="w")
+        lease = worker.try_claim(digest)
+        assert lease is not None
+        done = []
+
+        def finish():
+            # The worker's exit order in ScenarioService._execute.  The
+            # pop skips the lock: the hook may run while state_of holds it.
+            if not done:
+                done.append(True)
+                store.write_record(digest, {"a": np.array([1.0])}, {"kind": "sweep_point"})
+                lease.release()
+                dict.pop(service._pending, digest, None)
+
+        def after(read):
+            def probed(*args, **kwargs):
+                answer = read(*args, **kwargs)
+                finish()
+                return answer
+
+            return probed
+
+        if probe == "pending":
+            service._pending = _ProbedPending(service._pending, finish)
+        elif probe == "lease":
+            monkeypatch.setattr(service._manager, "is_leased", after(service._manager.is_leased))
+        else:
+            monkeypatch.setattr(store, "has_record", after(store.has_record))
+
+        assert service.state_of(digest) in ("pending", "committed")
+        finish()
+        assert service.state_of(digest) == "committed"

@@ -132,10 +132,12 @@ class TestManyTasks:
         assert int(out.final_loads.sum()) <= demand.n
 
     def test_kernel_methods_agree_on_engine_signatures(self, monkeypatch):
-        """DP and FFT kernels agree (<=1e-12) on every mark-probability
-        vector an actual run encounters — not just synthetic inputs."""
+        """The quadrature kernel agrees (<=1e-12) with the DP and FFT
+        deconvolution oracles on every mark-probability vector an actual
+        run encounters — not just synthetic inputs."""
         import repro.sim.counting as counting_mod
         from repro.util.mathx import exact_join_probabilities as kernel
+        from tests.join_oracles import dp_join_probabilities, fft_join_probabilities
 
         seen: list[np.ndarray] = []
 
@@ -151,9 +153,9 @@ class TestManyTasks:
         ).run(60)
         assert seen, "run produced no join rounds"
         for u in seen:
-            np.testing.assert_allclose(
-                kernel(u, method="dp"), kernel(u, method="fft"), atol=1e-12
-            )
+            pi = kernel(u)
+            np.testing.assert_allclose(pi, dp_join_probabilities(u), atol=1e-12)
+            np.testing.assert_allclose(pi, fft_join_probabilities(u), atol=1e-12)
 
     @pytest.mark.slow
     def test_exact_matches_per_ant_cross_check(self):

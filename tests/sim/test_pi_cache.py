@@ -169,21 +169,17 @@ class TestCacheTransparency:
     def test_traces_bit_identical_with_and_without_cache(self, feedback_factory):
         demand = uniform_demands(n=2000, k=4)
 
-        def run(pi_cache: bool, method: str):
+        def run(pi_cache: bool):
             sim = CountingSimulator(
                 AntAlgorithm(gamma=0.05),
                 demand,
                 feedback_factory(demand),
                 seed=77,
                 pi_cache=pi_cache,
-                join_kernel_method=method,
             )
             return sim.run(150, trace_stride=1).trace.loads
 
-        baseline = run(False, "dp")
-        assert np.array_equal(baseline, run(True, "dp"))
-        # Same-method determinism holds for the FFT kernel too.
-        assert np.array_equal(run(False, "fft"), run(True, "fft"))
+        assert np.array_equal(run(False), run(True))
 
     def test_prewarmed_cache_does_not_perturb_the_run(self):
         # Manually priming cache entries must not change the trajectory:
@@ -196,8 +192,9 @@ class TestCacheTransparency:
         assert np.array_equal(fresh, warmed)
 
     def test_rejects_unknown_kernel_method(self):
-        with pytest.raises(Exception, match="join_kernel_method"):
-            _binary_sim(join_kernel_method="nope")
+        # The kernel has no back ends left to choose between.
+        with pytest.raises(TypeError, match="join_kernel_method"):
+            _binary_sim(join_kernel_method="quadrature")
 
 
 class TestSharedPiCacheObject:
@@ -208,7 +205,7 @@ class TestSharedPiCacheObject:
 
         cache = SharedPiCache()
         pi = np.array([0.25, 0.25, 0.5])
-        key = SharedPiCache.key("dp", np.array([0.1, 0.2]))
+        key = SharedPiCache.key(np.array([0.1, 0.2]))
         stored = cache.put(key, pi)
         assert not stored.flags.writeable
         assert cache.get(key) is stored
@@ -221,7 +218,7 @@ class TestSharedPiCacheObject:
         from repro.sim.pi_cache import SharedPiCache
 
         cache = SharedPiCache()
-        key = SharedPiCache.key("fft", np.array([0.5]))
+        key = SharedPiCache.key(np.array([0.5]))
         assert cache.get(key) is None
         cache.put(key, np.array([0.5, 0.5]))
         assert cache.get(key) is not None
@@ -233,7 +230,7 @@ class TestSharedPiCacheObject:
         from repro.sim.pi_cache import SharedPiCache
 
         cache = SharedPiCache(max_entries=2)
-        keys = [SharedPiCache.key("dp", np.array([p])) for p in (0.1, 0.2, 0.3)]
+        keys = [SharedPiCache.key(np.array([p])) for p in (0.1, 0.2, 0.3)]
         for key in keys:
             cache.put(key, np.array([0.5, 0.5]))
         assert len(cache) == 2
@@ -241,12 +238,16 @@ class TestSharedPiCacheObject:
         assert cache.get(keys[2]) is not None
 
     def test_key_embeds_method_and_signature(self):
-        from repro.sim.pi_cache import SharedPiCache
+        # The key's first component names the kernel's numerics; the
+        # second is the signature's bytes.
+        from repro.sim.pi_cache import PI_KEY_TAG, SharedPiCache
+        from repro.store import NUMERICS_VERSION
 
         u = np.array([0.3, 0.7])
-        assert SharedPiCache.key("dp", u) != SharedPiCache.key("fft", u)
-        assert SharedPiCache.key("dp", u) != SharedPiCache.key("dp", u + 1e-16)
-        assert SharedPiCache.key("dp", u) == SharedPiCache.key("dp", u.copy())
+        assert SharedPiCache.key(u) == (PI_KEY_TAG, u.tobytes())
+        assert PI_KEY_TAG == f"numerics-{NUMERICS_VERSION}"
+        assert SharedPiCache.key(u) != SharedPiCache.key(u + 1e-16)
+        assert SharedPiCache.key(u) == SharedPiCache.key(u.copy())
 
     def test_pickle_resolves_to_same_instance_in_process(self):
         import pickle
@@ -254,7 +255,7 @@ class TestSharedPiCacheObject:
         from repro.sim.pi_cache import SharedPiCache
 
         cache = SharedPiCache()
-        key = SharedPiCache.key("dp", np.array([0.4]))
+        key = SharedPiCache.key(np.array([0.4]))
         cache.put(key, np.array([0.4, 0.6]))
         revived = pickle.loads(pickle.dumps(cache))
         assert revived is cache  # same live object, contents intact
@@ -283,7 +284,7 @@ class TestSharedPiCacheObject:
 
         token = "cafef00d" * 4
         first = pc._resolve_token(token, 64)  # trial 1 unpickles
-        key = SharedPiCache.key("dp", np.array([0.3]))
+        key = SharedPiCache.key(np.array([0.3]))
         first.put(key, np.array([0.3, 0.7]))
         del first  # trial 1 finished; worker drops everything
         gc.collect()
@@ -415,20 +416,32 @@ class TestSharedPiCacheInSimulator:
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
         assert counter.calls > 0
 
-    def test_methods_do_not_share_entries(self, monkeypatch):
+    def test_old_numerics_disk_entries_are_never_served(self, tmp_path, monkeypatch):
+        # A store written by an older kernel holds entries for the same
+        # signatures under other tags: pi/quadrature/ (explicit
+        # quadrature or k >= 2048 before the numerics version existed)
+        # and older numerics-N tags.  Poison them; a run over that store
+        # must recompute everything and match a cold run bit for bit.
         from repro.sim.pi_cache import SharedPiCache
+        from repro.store import NUMERICS_VERSION, DiskPiCache
 
-        counter = KernelCallCounter(monkeypatch)
-        cache = SharedPiCache()
-        _binary_sim(shared_pi_cache=cache, join_kernel_method="dp").run(100)
-        dp_calls = counter.calls
-        _binary_sim(shared_pi_cache=cache, join_kernel_method="fft").run(100)
-        # The fft simulator saw the same signatures but must not consume
-        # dp-computed entries: its misses recompute under its own keys.
-        assert counter.calls > dp_calls
+        cold = _binary_sim().run(100, trace_stride=1).trace.loads
+        recorder = KernelCallCounter(monkeypatch)
+        _binary_sim().run(100)
+        disk = DiskPiCache(tmp_path)
+        for u_bytes in set(recorder.keys):
+            k = len(u_bytes) // 8
+            for tag in ("quadrature", "dp", "fft", f"numerics-{NUMERICS_VERSION - 1}"):
+                disk.put((tag, u_bytes), np.full(k + 1, 1.0 / (k + 1)))
+        cache = SharedPiCache(disk=DiskPiCache(tmp_path))
+        sim = _binary_sim(shared_pi_cache=cache)
+        warm = sim.run(100, trace_stride=1).trace.loads
+        assert sim.pi_cache_disk_hits == 0 and cache.disk.hits == 0
+        assert np.array_equal(warm, cold)
 
     def test_quadrature_method_accepted_end_to_end(self):
-        out = _binary_sim(join_kernel_method="quadrature").run(80)
+        # The default (and only) kernel is the quadrature one.
+        out = _binary_sim().run(80)
         assert out.rounds == 80
 
     def test_rejects_non_cache_object(self):

@@ -16,8 +16,8 @@ from repro.store.pi_disk import DiskPiCache
 from repro.util.mathx import exact_join_probabilities
 
 
-def _key(u: np.ndarray, method: str = "dp"):
-    return SharedPiCache.key(method, u)
+def _key(u: np.ndarray, tag: str | None = None):
+    return SharedPiCache.key(u) if tag is None else (tag, u.tobytes())
 
 
 class TestRoundTrip:
@@ -54,10 +54,13 @@ class TestRoundTrip:
         assert cache.misses == 1 and cache.hits == 0
 
     def test_methods_are_disjoint_namespaces(self, tmp_path):
+        # Each key tag (a numerics version; a kernel back end in older
+        # stores) is its own directory: entries never cross tags.
         cache = DiskPiCache(tmp_path)
         u = np.array([0.25, 0.5])
-        cache.put(_key(u, "dp"), np.array([0.3, 0.3, 0.4]))
-        assert cache.get(_key(u, "fft")) is None
+        cache.put(_key(u, "quadrature"), np.array([0.3, 0.3, 0.4]))
+        assert cache.get(_key(u)) is None
+        assert cache.get(_key(u, "quadrature")) is not None
 
     def test_len_and_nbytes(self, tmp_path):
         cache = DiskPiCache(tmp_path)
@@ -118,7 +121,7 @@ class TestSharedCacheEquivalence:
     def test_disk_tier_serves_what_memory_tier_stored(self, tmp_path):
         u = np.random.default_rng(1).random(32)
         pi = exact_join_probabilities(u)
-        key = SharedPiCache.key("dp", u)
+        key = SharedPiCache.key(u)
         writer = SharedPiCache(disk=DiskPiCache(tmp_path))
         stored = writer.put(key, pi)
         # A *different* process/session: fresh memory tier, same disk.
@@ -138,7 +141,7 @@ class TestSharedCacheEquivalence:
         # distinct signatures would exhaust the process fd limit.  The
         # memory tier must hold detached copies.
         writer = SharedPiCache(disk=DiskPiCache(tmp_path))
-        key = SharedPiCache.key("dp", np.array([0.4, 0.6]))
+        key = SharedPiCache.key(np.array([0.4, 0.6]))
         writer.put(key, np.array([0.2, 0.3, 0.5]))
         reader = SharedPiCache(disk=DiskPiCache(tmp_path))
         out, tier = reader.fetch(key)
@@ -149,7 +152,7 @@ class TestSharedCacheEquivalence:
 
     def test_memoryless_counters_without_disk(self, tmp_path):
         cache = SharedPiCache()
-        key = SharedPiCache.key("dp", np.array([0.5]))
+        key = SharedPiCache.key(np.array([0.5]))
         assert cache.fetch(key) == (None, None)
         assert (cache.hits, cache.disk_hits, cache.misses) == (0, 0, 1)
 
@@ -179,7 +182,7 @@ class TestSharedCacheEquivalence:
     def test_clear_leaves_disk_untouched(self, tmp_path):
         disk = DiskPiCache(tmp_path)
         cache = SharedPiCache(disk=disk)
-        key = SharedPiCache.key("dp", np.array([0.5]))
+        key = SharedPiCache.key(np.array([0.5]))
         cache.put(key, np.array([0.5, 0.5]))
         cache.clear()
         assert len(cache) == 0

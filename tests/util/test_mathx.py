@@ -11,19 +11,18 @@ import repro.util.mathx as mathx
 from repro.exceptions import ConfigurationError
 from repro.util.mathx import (
     ENUMERATION_K_LIMIT,
-    FFT_K_THRESHOLD,
-    QUADRATURE_K_THRESHOLD,
     enumerate_subset_join_probabilities,
     exact_join_probabilities,
-    fft_join_probabilities,
-    fft_poisson_binomial_pmf,
     inverse_logistic,
     log1pexp,
     logistic,
-    poisson_binomial_pmf,
-    quadrature_join_probabilities,
-    resolve_join_kernel_method,
     sigmoid_lack_probability,
+)
+from tests.join_oracles import (
+    dp_join_probabilities,
+    fft_join_probabilities,
+    fft_poisson_binomial_pmf,
+    poisson_binomial_pmf,
 )
 
 
@@ -215,6 +214,8 @@ def _per_ant_monte_carlo(u: np.ndarray, trials: int, rng: np.random.Generator) -
 
 
 class TestPoissonBinomialPmf:
+    """The DP Poisson-binomial PMF oracle (tests/join_oracles.py)."""
+
     def test_bernoulli(self):
         np.testing.assert_allclose(poisson_binomial_pmf(np.array([0.3])), [0.7, 0.3])
 
@@ -241,9 +242,10 @@ class TestPoissonBinomialPmf:
 
 
 class TestFftPoissonBinomialPmf:
-    """The FFT divide-and-conquer PMF must agree with the O(k^2) DP to
-    well under the 1e-10 acceptance bar, including at the numerically
-    nasty points (u near 0/1 and exactly 1/2) and at k past 10^3."""
+    """The two PMF oracles are independent constructions: the FFT
+    divide-and-conquer PMF must agree with the O(k^2) DP to well under the
+    1e-10 bar, including at the numerically nasty points (u near 0/1 and
+    exactly 1/2) and at k past 10^3."""
 
     PROPERTY_KS = (16, 128, 512, 1024)
 
@@ -308,16 +310,15 @@ class TestFftPoissonBinomialPmf:
 
 
 class TestFftJoinProbabilities:
-    """fft_join_probabilities and the DP/FFT dispatch of
-    exact_join_probabilities must all produce the same distribution."""
+    """The FFT-PMF deconvolution oracle, the DP-PMF deconvolution oracle,
+    the subset enumerator and the quadrature kernel must all produce the
+    same distribution."""
 
     @pytest.mark.parametrize("k", (16, 128, 512, 1024))
     def test_matches_dp_kernel(self, k):
         u = np.random.default_rng(k).random(k)
         np.testing.assert_allclose(
-            fft_join_probabilities(u),
-            exact_join_probabilities(u, method="dp"),
-            atol=1e-10,
+            fft_join_probabilities(u), dp_join_probabilities(u), atol=1e-10
         )
 
     @pytest.mark.parametrize("k", (16, 512))
@@ -325,9 +326,7 @@ class TestFftJoinProbabilities:
         pool = np.array([0.0, 1.0, 0.5, 1e-14, 1.0 - 1e-14, 0.25, 0.75])
         u = np.random.default_rng(k).choice(pool, size=k)
         np.testing.assert_allclose(
-            fft_join_probabilities(u),
-            exact_join_probabilities(u, method="dp"),
-            atol=1e-10,
+            fft_join_probabilities(u), dp_join_probabilities(u), atol=1e-10
         )
 
     @settings(max_examples=60, deadline=None)
@@ -336,10 +335,10 @@ class TestFftJoinProbabilities:
                  max_size=ENUMERATION_K_LIMIT)
     )
     def test_fft_path_matches_enumerator(self, u):
-        # The subset enumerator covers the FFT path too, not just the DP.
+        # The subset enumerator covers the FFT oracle too, not just the DP.
         u = np.array(u)
         np.testing.assert_allclose(
-            exact_join_probabilities(u, method="fft"),
+            fft_join_probabilities(u),
             enumerate_subset_join_probabilities(u),
             atol=1e-10,
         )
@@ -347,25 +346,24 @@ class TestFftJoinProbabilities:
     def test_fft_path_matches_enumerator_at_the_limit(self, rng):
         u = rng.random(ENUMERATION_K_LIMIT)
         np.testing.assert_allclose(
-            exact_join_probabilities(u, method="fft"),
+            fft_join_probabilities(u),
             enumerate_subset_join_probabilities(u),
             atol=1e-10,
         )
 
     def test_auto_dispatch_agrees_with_both_methods(self):
-        for k in (FFT_K_THRESHOLD // 2, FFT_K_THRESHOLD, FFT_K_THRESHOLD + 1):
+        # Around k = 512, where the kernel once switched from the DP to
+        # the FFT PMF, the one quadrature kernel agrees with both oracles.
+        for k in (256, 512, 513):
             u = np.random.default_rng(k).random(k)
-            auto = exact_join_probabilities(u)
-            np.testing.assert_allclose(
-                auto, exact_join_probabilities(u, method="dp"), atol=1e-10
-            )
-            np.testing.assert_allclose(
-                auto, exact_join_probabilities(u, method="fft"), atol=1e-10
-            )
+            kernel = exact_join_probabilities(u)
+            np.testing.assert_allclose(kernel, dp_join_probabilities(u), atol=1e-10)
+            np.testing.assert_allclose(kernel, fft_join_probabilities(u), atol=1e-10)
 
     def test_rejects_unknown_method(self):
-        with pytest.raises(ConfigurationError, match="method"):
-            exact_join_probabilities(np.array([0.5]), method="magic")
+        # There is one kernel: no back end can be selected.
+        with pytest.raises(TypeError, match="method"):
+            exact_join_probabilities(np.array([0.5]), method="fft")
 
     def test_valid_distribution_large_k(self):
         u = np.random.default_rng(2048).random(2048)
@@ -453,8 +451,8 @@ class TestExactJoinProbabilities:
 
 class TestQuadratureJoinProbabilities:
     """The loop-free Gauss-Legendre kernel computes the *same* law as the
-    DP/FFT deconvolution (it integrates the exact degree-(k-1) leave-one-
-    out polynomial), so all three back ends must agree to well under the
+    DP/FFT deconvolution oracles (it integrates the exact degree-(k-1)
+    leave-one-out polynomial), so all three must agree to well under the
     1e-10 acceptance bar up to k = 4096."""
 
     PROPERTY_KS = (16, 128, 512, 1024, 4096)
@@ -462,9 +460,9 @@ class TestQuadratureJoinProbabilities:
     @pytest.mark.parametrize("k", PROPERTY_KS)
     def test_matches_dp_and_fft_random_u(self, k):
         u = np.random.default_rng(k).random(k)
-        quad = exact_join_probabilities(u, method="quadrature")
-        np.testing.assert_allclose(quad, exact_join_probabilities(u, method="dp"), atol=1e-10)
-        np.testing.assert_allclose(quad, exact_join_probabilities(u, method="fft"), atol=1e-10)
+        quad = exact_join_probabilities(u)
+        np.testing.assert_allclose(quad, dp_join_probabilities(u), atol=1e-10)
+        np.testing.assert_allclose(quad, fft_join_probabilities(u), atol=1e-10)
 
     @pytest.mark.parametrize("k", (16, 512, 2048))
     def test_matches_dp_extreme_u(self, k):
@@ -473,9 +471,7 @@ class TestQuadratureJoinProbabilities:
         pool = np.array([0.0, 1.0, 0.5, 1e-14, 1.0 - 1e-14, 1e-3, 1.0 - 1e-3, 0.25])
         u = np.random.default_rng(1000 + k).choice(pool, size=k)
         np.testing.assert_allclose(
-            exact_join_probabilities(u, method="quadrature"),
-            exact_join_probabilities(u, method="dp"),
-            atol=1e-10,
+            exact_join_probabilities(u), dp_join_probabilities(u), atol=1e-10
         )
 
     @settings(max_examples=60, deadline=None)
@@ -487,7 +483,7 @@ class TestQuadratureJoinProbabilities:
         # The brute-force subset oracle covers the quadrature path too.
         u = np.array(u)
         np.testing.assert_allclose(
-            exact_join_probabilities(u, method="quadrature"),
+            exact_join_probabilities(u),
             enumerate_subset_join_probabilities(u),
             atol=1e-10,
         )
@@ -496,108 +492,76 @@ class TestQuadratureJoinProbabilities:
         # All u_j = 1: B_j = k - 1 deterministically, pi_j = 1/k; the
         # integrand degenerates to t^{k-1}, which Gauss-Legendre must
         # integrate exactly to 1/k.
-        pi = exact_join_probabilities(np.ones(101), method="quadrature")
+        pi = exact_join_probabilities(np.ones(101))
         np.testing.assert_allclose(pi[:-1], 1.0 / 101, atol=1e-14)
         assert pi[-1] == 0.0
 
     def test_all_zero_stays_idle(self):
-        pi = exact_join_probabilities(np.zeros(50), method="quadrature")
+        pi = exact_join_probabilities(np.zeros(50))
         assert pi[-1] == pytest.approx(1.0)
         assert np.all(pi[:-1] == 0.0)
 
     def test_idle_probability_is_product(self):
         u = np.random.default_rng(3).random(64) * 0.1
-        pi = exact_join_probabilities(u, method="quadrature")
+        pi = exact_join_probabilities(u)
         assert pi[-1] == pytest.approx(float(np.prod(1.0 - u)), rel=1e-12)
 
     def test_valid_distribution_at_k8192(self):
         u = np.random.default_rng(8192).random(8192)
-        pi = exact_join_probabilities(u, method="quadrature")
+        pi = exact_join_probabilities(u)
         assert pi.shape == (8193,)
         assert np.all(pi >= 0.0)
         assert pi.sum() == pytest.approx(1.0)
 
     def test_wrapper_equals_explicit_method(self):
+        # The public kernel is the quadrature core plus validation and
+        # renormalization — nothing else touches the bits.
         u = np.random.default_rng(9).random(37)
-        np.testing.assert_array_equal(
-            quadrature_join_probabilities(u),
-            exact_join_probabilities(u, method="quadrature"),
-        )
+        core = mathx._quadrature_join(u)
+        np.testing.assert_array_equal(exact_join_probabilities(u), core / core.sum())
 
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ConfigurationError):
-            exact_join_probabilities(np.array([1.5]), method="quadrature")
+            exact_join_probabilities(np.array([1.5]))
 
 
 class TestJoinKernelMethodDispatch:
-    """Explicit selection, the auto-threshold crossovers, and the error
-    path of exact_join_probabilities' method dispatch."""
+    """There is no dispatch left: every k — including k = 511..513 and
+    2047..2049, the seams where the kernel used to switch between the DP
+    PMF, the FFT PMF and quadrature — runs the quadrature core once and
+    agrees with both deconvolution oracles."""
 
-    def test_resolve_concrete_names_ignore_k(self):
-        for method in ("dp", "fft", "quadrature"):
-            assert resolve_join_kernel_method(1, method) == method
-            assert resolve_join_kernel_method(10**6, method) == method
-
-    def test_resolve_auto_thresholds(self):
-        assert resolve_join_kernel_method(FFT_K_THRESHOLD - 1, "auto") == "dp"
-        assert resolve_join_kernel_method(FFT_K_THRESHOLD, "auto") == "fft"
-        assert resolve_join_kernel_method(QUADRATURE_K_THRESHOLD - 1, "auto") == "fft"
-        assert resolve_join_kernel_method(QUADRATURE_K_THRESHOLD, "auto") == "quadrature"
+    SEAMS = (511, 512, 513, 2047, 2048, 2049)
 
     def test_auto_agrees_with_every_back_end_at_the_crossovers(self):
-        for k in (FFT_K_THRESHOLD - 1, FFT_K_THRESHOLD, QUADRATURE_K_THRESHOLD):
+        for k in (511, 512, 2048):
             u = np.random.default_rng(k).random(k)
-            auto = exact_join_probabilities(u)
-            for method in ("dp", "fft", "quadrature"):
-                np.testing.assert_allclose(
-                    auto, exact_join_probabilities(u, method=method), atol=1e-10
-                )
-
-    def test_resolve_auto_pinned_at_both_seams(self):
-        # Pin the numeric boundary neighbourhoods, not just the symbols:
-        # an off-by-one in either comparison flips exactly one of these.
-        assert (FFT_K_THRESHOLD, QUADRATURE_K_THRESHOLD) == (512, 2048)
-        expected = {
-            511: "dp", 512: "fft", 513: "fft",
-            2047: "fft", 2048: "quadrature", 2049: "quadrature",
-        }
-        for k, method in expected.items():
-            assert resolve_join_kernel_method(k, "auto") == method, k
+            kernel = exact_join_probabilities(u)
+            for oracle in (dp_join_probabilities, fft_join_probabilities):
+                np.testing.assert_allclose(kernel, oracle(u), atol=1e-10)
 
     def test_auto_runs_the_resolved_kernel_at_each_boundary(self, monkeypatch):
-        # resolve_join_kernel_method is advertised as naming the back end
-        # that *actually ran* (the shared pi-cache keys entries by it), so
-        # spy every core and check dispatch honours it at k = 511..513 and
-        # 2047..2049.
-        ran: list[str] = []
-        cores = {"dp": "_dp_pmf", "fft": "_fft_pmf", "quadrature": "_quadrature_join"}
-        for method, attr in cores.items():
-            real = getattr(mathx, attr)
+        ran: list[int] = []
+        real = mathx._quadrature_join
 
-            def spy(u, _method=method, _real=real):
-                ran.append(_method)
-                return _real(u)
+        def spy(u):
+            ran.append(u.shape[0])
+            return real(u)
 
-            monkeypatch.setattr(mathx, attr, spy)
-        for k in (511, 512, 513, 2047, 2048, 2049):
+        monkeypatch.setattr(mathx, "_quadrature_join", spy)
+        for k in self.SEAMS:
             ran.clear()
-            u = np.random.default_rng(k).random(k)
-            exact_join_probabilities(u)
-            assert ran == [resolve_join_kernel_method(k, "auto")], k
+            exact_join_probabilities(np.random.default_rng(k).random(k))
+            assert ran == [k], k
 
     def test_back_ends_agree_one_past_each_seam(self):
-        # The +/-1 neighbours of both seams: all three kernels within
-        # 1e-10 of each other, so a flipped dispatch can never change
-        # results beyond round-off.
+        # The oracles agree with each other and with the kernel within
+        # 1e-10 on the +/-1 neighbours of both former seams.
         for k in (513, 2047, 2049):
             u = np.random.default_rng(k).random(k)
-            dp = exact_join_probabilities(u, method="dp")
-            np.testing.assert_allclose(
-                dp, exact_join_probabilities(u, method="fft"), atol=1e-10
-            )
-            np.testing.assert_allclose(
-                dp, exact_join_probabilities(u, method="quadrature"), atol=1e-10
-            )
+            dp = dp_join_probabilities(u)
+            np.testing.assert_allclose(dp, fft_join_probabilities(u), atol=1e-10)
+            np.testing.assert_allclose(dp, exact_join_probabilities(u), atol=1e-10)
 
     def test_explicit_quadrature_runs_the_quadrature_core(self, monkeypatch):
         calls = []
@@ -608,34 +572,26 @@ class TestJoinKernelMethodDispatch:
             return real(u)
 
         monkeypatch.setattr(mathx, "_quadrature_join", spy)
-        exact_join_probabilities(np.full(8, 0.3), method="quadrature")
-        assert calls == [8]
-        exact_join_probabilities(np.full(8, 0.3), method="dp")
-        assert calls == [8]  # dp must not touch the quadrature core
+        for k in (1, 2, 8):
+            exact_join_probabilities(np.full(k, 0.3))
+        assert calls == [1, 2, 8]
 
-    def test_auto_crossover_routes_to_quadrature(self, monkeypatch):
-        # Shrink the thresholds so the crossover is observable cheaply.
-        monkeypatch.setattr(mathx, "FFT_K_THRESHOLD", 4)
-        monkeypatch.setattr(mathx, "QUADRATURE_K_THRESHOLD", 8)
-        calls = []
-        real = mathx._quadrature_join
 
-        def spy(u):
-            calls.append(u.shape[0])
-            return real(u)
+class TestGaussLegendreNodes:
+    """The quadrature nodes: exact, and computed without dense LAPACK."""
 
-        monkeypatch.setattr(mathx, "_quadrature_join", spy)
-        exact_join_probabilities(np.full(7, 0.3))  # auto -> fft
-        assert calls == []
-        exact_join_probabilities(np.full(8, 0.3))  # auto -> quadrature
-        assert calls == [8]
+    @pytest.mark.parametrize("m", (1, 4, 33, 512))
+    def test_nodes_never_touch_dense_eigvalsh(self, monkeypatch, m):
+        # numpy's leggauss takes a dense eigvalsh of the m x m companion
+        # matrix; in concurrently forked workers its threaded BLAS ran
+        # many times slower than in one process.  The nodes must come
+        # from the banded solver instead, and integrate degree 2m - 1
+        # exactly.
+        def dense(*args, **kwargs):
+            raise AssertionError("quadrature nodes must not use numpy.linalg.eigvalsh")
 
-    def test_unknown_method_raises_clear_value_error(self):
-        u = np.array([0.5])
-        with pytest.raises(ValueError, match=r"join kernel method.*'magic'"):
-            exact_join_probabilities(u, method="magic")
-        # The message names every accepted method.
-        with pytest.raises(ValueError, match="auto.*dp.*fft.*quadrature"):
-            exact_join_probabilities(u, method="magic")
-        with pytest.raises(ValueError, match="join kernel method"):
-            resolve_join_kernel_method(16, "nope")
+        monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+        t, w = mathx._gauss_legendre_unit.__wrapped__(m)
+        assert np.all(np.diff(t) > 0.0) and t[0] > 0.0 and t[-1] < 1.0
+        for degree in (0, 1, m, 2 * m - 1):
+            assert w @ t**degree == pytest.approx(1.0 / (degree + 1), rel=1e-12)
