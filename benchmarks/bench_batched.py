@@ -1,4 +1,4 @@
-"""Batched counting-engine benchmarks: B trials per vectorized step.
+"""Counting-engine batching benchmarks: B trials per vectorized step.
 
 Two entry points, mirroring ``bench_join_kernel.py``:
 
@@ -11,21 +11,23 @@ Two entry points, mirroring ``bench_join_kernel.py``:
   the same fresh JSON, so ``check_regression.py``'s coverage rule sees
   one complete record.
 
-The headline case is the acceptance criterion for the batched engine:
-at B = 16 lanes and k = 256 tasks, batched aggregate throughput
-(lane-rounds per second) must be at least ``BATCHED_SPEEDUP_FLOOR``x the
-serial engine's.  The precise-sigmoid scenario carries that floor: its
-phase structure (2 draw rounds per 2m-round phase, the rest pure
-vectorized bookkeeping) is where stacking trials pays most (measured
-~8x on the reference machine).  Algorithm Ant at the same size is
-reported too, with a modest floor — its rounds are dominated by
-*join-kernel misses* (~2 ms each at k = 256, paid per distinct mark
-signature in both engines), which batching cannot remove, so ~2x is the
-honest expectation there.
+Every comparison times the same trials run one at a time (each a
+one-lane ``CountingSimulator.run``) against the same trials advanced as
+one batch.  At B = 16 lanes and k = 256 tasks, batched aggregate
+throughput (lane-rounds per second) must be at least
+``BATCHED_SPEEDUP_FLOOR``x the one-at-a-time runs'.  The precise-sigmoid
+scenario carries that floor: its phase structure (2 draw rounds per
+2m-round phase, the rest pure vectorized bookkeeping) is where stacking
+trials pays most.  Algorithm Ant at the same size is reported too, with
+a modest floor — its rounds are dominated by *join-kernel misses* (~2
+ms each at k = 256, paid per distinct mark signature on both paths),
+which batching cannot remove.  The ``default_path`` row runs the paper's
+k = 8 colony through ``run_trials``' defaults, so a change that stops
+batching by default fails its floor.
 
-Both comparisons also assert bit-identical per-trial statistics between
-the serial and batched paths — a benchmark that got faster by drifting
-off the serial trajectories must fail loudly.
+Every comparison also asserts bit-identical per-trial statistics between
+the two paths — a benchmark that got faster by drifting off the
+one-lane trajectories must fail loudly.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from repro.env.feedback import SigmoidFeedback
 from repro.obs import monotonic as obs_monotonic
 from repro.sim.batched import BatchedCountingSimulator
 from repro.sim.counting import CountingSimulator
+from repro.sim.runner import run_trials
 
 #: Lanes per batch — the engine's DEFAULT_BATCH and the acceptance
 #: operating point (B = 16, k = 256).
@@ -51,18 +54,25 @@ BATCH = 16
 K = 256
 N = 100 * K  # per-task demand n/(2k) = 50: small loads, inversion-sampler regime
 
-#: Aggregate-throughput floor for the precise-sigmoid scenario (the PR
-#: acceptance criterion).  Measured ~8x on the reference machine; 5x
-#: leaves CI headroom while still catching any real regression (losing
-#: the block sampler or the feedback dedup lands well below 5x).
+#: Aggregate-throughput floor for the precise-sigmoid scenario (the
+#: batched engine's acceptance criterion).  Measured 5.4-8.2x against
+#: one-lane runs on the reference machine (a 2-vCPU Xeon VM).
 BATCHED_SPEEDUP_FLOOR = 5.0
-#: Ant floor: join-kernel misses dominate both engines at k = 256, so
-#: batching's ceiling is ~2x here (measured ~2.2x); the floor only
-#: guards against the batched path becoming a pessimization.
+#: Ant floor: binomial draws and join-kernel misses cost about the same
+#: per lane on both paths at k = 256, so batching's ceiling is ~2x here
+#: (measured 1.8-2.3x); the floor only guards against the batched path
+#: becoming a pessimization.
 ANT_SPEEDUP_FLOOR = 1.5
+#: ``run_trials``' default path on the k = 8 colony: 16 trials batched
+#: by default against 16 one-lane runs.  Floored at ~70% of the ratio
+#: measured on the reference machine (2.5-3.4x); running the trials one
+#: at a time reads 1.0x.
+DEFAULT_PATH_K = 8
+DEFAULT_PATH_SPEEDUP_FLOOR = 2.0
 
 PS_ROUNDS = 1000
 ANT_ROUNDS = 400
+DEFAULT_PATH_ROUNDS = 500
 REPEATS = 3
 
 
@@ -86,21 +96,31 @@ def _ant_factory(seed: int) -> CountingSimulator:
     return CountingSimulator(AntAlgorithm(gamma=0.025), demand, SigmoidFeedback(lam), seed=seed)
 
 
-def _comparison(factory, rounds: int, floor: float, label: str) -> dict:
-    """Serial vs batched wall time over the same ``BATCH`` trials.
+def _colony_factory(seed: int) -> CountingSimulator:
+    """The paper's k = 8 colony (n = 8000, calibrated sigmoid noise)."""
+    demand = uniform_demands(n=1000 * DEFAULT_PATH_K, k=DEFAULT_PATH_K)
+    lam = lambda_for_critical_value(demand, gamma_star=0.01)
+    return CountingSimulator(AntAlgorithm(gamma=0.025), demand, SigmoidFeedback(lam), seed=seed)
+
+
+def _comparison(factory, rounds: int, floor: float, label: str, batched=None, k: int = K) -> dict:
+    """One-lane vs batched wall time over the same ``BATCH`` trials.
 
     Fresh simulators every repetition (cold per-run caches on both
     paths, so the comparison is fair), interleaved best-of-``REPEATS``
     so a descheduled repetition cannot flip the ratio, and a bit-
-    identity assertion on the per-trial statistics.
+    identity assertion on the per-trial statistics.  ``batched`` runs
+    the trials the batched way (default: one explicit B-lane batch).
     """
     seeds = _seeds()
 
     def serial():
         return [factory(s).run(rounds) for s in seeds]
 
-    def batched():
-        return BatchedCountingSimulator([factory(s) for s in seeds]).run(rounds)
+    if batched is None:
+
+        def batched():
+            return BatchedCountingSimulator([factory(s) for s in seeds]).run(rounds)
 
     # Warm-up: imports, scipy machinery, demand/lambda construction.
     warm = min(rounds, 64)
@@ -124,13 +144,13 @@ def _comparison(factory, rounds: int, floor: float, label: str) -> dict:
     aggregate = BATCH * rounds
     speedup = t_serial / t_batched
     assert speedup >= floor, (
-        f"batched {label} engine only {speedup:.2f}x over serial at "
-        f"B={BATCH}, k={K} (floor {floor}x)"
+        f"batched {label} engine only {speedup:.2f}x over one-lane runs at "
+        f"B={BATCH}, k={k} (floor {floor}x)"
     )
     return {
         "batch": BATCH,
-        "k": K,
-        "n": N,
+        "k": k,
+        "n": int(factory(seeds[0]).n),
         "rounds": rounds,
         "serial_seconds": t_serial,
         "batched_seconds": t_batched,
@@ -138,6 +158,23 @@ def _comparison(factory, rounds: int, floor: float, label: str) -> dict:
         "batched_rounds_per_second": aggregate / t_batched,
         "speedup": speedup,
     }
+
+
+def _default_path_comparison() -> dict:
+    """16 trials through ``run_trials``' defaults vs 16 one-lane runs."""
+
+    def batched():
+        summary = run_trials(_colony_factory, DEFAULT_PATH_ROUNDS, BATCH, seed=0)
+        return summary.results
+
+    return _comparison(
+        _colony_factory,
+        DEFAULT_PATH_ROUNDS,
+        DEFAULT_PATH_SPEEDUP_FLOOR,
+        "default-path",
+        batched=batched,
+        k=DEFAULT_PATH_K,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -154,6 +191,11 @@ def test_batched_ant_speedup_k256():
     _comparison(_ant_factory, ANT_ROUNDS, ANT_SPEEDUP_FLOOR, "ant")
 
 
+def test_run_trials_batches_by_default_k8():
+    """The default multi-trial path batches the paper's k = 8 colony."""
+    _default_path_comparison()
+
+
 # ----------------------------------------------------------------------
 # Standalone recorder (CI merges this into the fresh benchmark record)
 
@@ -162,15 +204,20 @@ def collect() -> dict:
     """The ``batched_engine`` section and its regression floors."""
     ps = _comparison(_ps_factory, PS_ROUNDS, BATCHED_SPEEDUP_FLOOR, "precise_sigmoid")
     ant = _comparison(_ant_factory, ANT_ROUNDS, ANT_SPEEDUP_FLOOR, "ant")
+    default_path = _default_path_comparison()
     return {
         "batched_engine": {
             "batch": BATCH,
             "precise_sigmoid": {f"k={K}": ps},
             "ant": {f"k={K}": ant},
+            "default_path": {f"k={DEFAULT_PATH_K}": default_path},
         },
         "floors": {
             f"batched_engine.precise_sigmoid.k={K}.speedup": BATCHED_SPEEDUP_FLOOR,
             f"batched_engine.ant.k={K}.speedup": ANT_SPEEDUP_FLOOR,
+            f"batched_engine.default_path.k={DEFAULT_PATH_K}.speedup": (
+                DEFAULT_PATH_SPEEDUP_FLOOR
+            ),
         },
     }
 
@@ -197,11 +244,11 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.json, "w", encoding="utf-8") as f:
         json.dump(record, f, indent=2, sort_keys=True)
 
-    for label in ("precise_sigmoid", "ant"):
-        row = fresh["batched_engine"][label][f"k={K}"]
+    for label, k in (("precise_sigmoid", K), ("ant", K), ("default_path", DEFAULT_PATH_K)):
+        row = fresh["batched_engine"][label][f"k={k}"]
         print(
-            f"batched {label} engine at B={BATCH}, k={K}: "
-            f"serial {row['serial_rounds_per_second']:.0f} rounds/s, "
+            f"batched {label} at B={BATCH}, k={k}: "
+            f"one-lane {row['serial_rounds_per_second']:.0f} rounds/s, "
             f"batched {row['batched_rounds_per_second']:.0f} rounds/s "
             f"({row['speedup']:.2f}x)"
         )

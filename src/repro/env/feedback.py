@@ -32,7 +32,7 @@ import numpy as np
 from repro.env.adversary import AdversaryStrategy, CorrectInGreyZone
 from repro.exceptions import ConfigurationError
 from repro.types import LackMatrix, NoiseKind, TaskVector
-from repro.util.mathx import sigmoid_lack_probability
+from repro.util.mathx import logistic, sigmoid_lack_probability
 from repro.util.validation import check_in_range, check_positive, check_probability
 
 __all__ = [
@@ -151,8 +151,12 @@ class SigmoidFeedback(FeedbackModel):
         self.lam = _coerce_lam(lam)
 
     def lack_probabilities(self, deficits: np.ndarray) -> TaskVector:
-        check_lam_task_count(self.lam, np.asarray(deficits).shape[-1])
-        return sigmoid_lack_probability(deficits, self.lam)
+        deficits = np.asarray(deficits, dtype=np.float64)
+        check_lam_task_count(self.lam, deficits.shape[-1])
+        # ``lam`` was validated on construction: this is
+        # sigmoid_lack_probability without its per-call re-validation,
+        # which costs more than the sigmoid itself at small k.
+        return logistic(self.lam * deficits)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SigmoidFeedback(lam={_format_lam(self.lam)})"

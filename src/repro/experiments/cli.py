@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         type=int,
         default=None,
-        help="batched-engine lanes per chunk (counting engines; 0 forces serial, "
-        "default defers to the spec)",
+        help="counting-engine lanes per batched chunk (0 runs one trial at a time; "
+        "default: the spec's batch param, else min(trials, 16))",
     )
     srun.add_argument("--seed", type=int, default=None, help="override spec.seed")
     srun.add_argument(

@@ -65,10 +65,10 @@ class GlobalRngRule(Rule):
     OS-entropy ``default_rng()``.  Only :mod:`repro.util.rng`, the
     sanctioned seed-management module, is exempt.
 
-    Explicit-state constructions pass without exemption: the batched
+    Explicit-state constructions pass without exemption: the counting
     engine (:mod:`repro.sim.batched`) derives one per-lane substream via
-    each lane's ``RngFactory.stream("counting")`` — the same
-    ``SeedSequence`` spawn scheme as the serial engine — and
+    each lane's ``RngFactory.stream("counting")`` — the
+    ``SeedSequence`` spawn scheme of :mod:`repro.util.rng` — and
     :mod:`repro.util.rng_block` replays draws from those ``Generator``
     objects, so neither opens a new global-RNG surface (pinned by
     ``tests/lint/test_rules.py``).

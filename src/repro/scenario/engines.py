@@ -3,18 +3,19 @@
 Each engine builder receives the already-built components (algorithm,
 demand, feedback, optional population schedule) plus the run seed and
 the engine-specific options from :class:`~repro.scenario.spec.EngineSpec`
-params.  Three engines ship with the library:
+params.  Four engines ship with the library:
 
 * ``agent`` — :class:`~repro.sim.engine.Simulator`, the exact per-ant
   synchronous engine (any algorithm / feedback);
 * ``counting`` — :class:`~repro.sim.counting.CountingSimulator`, the
   O(k)-per-round load-level engine (Ant / trivial / precise sigmoid
   under i.i.d. noise; the only engine supporting dynamic populations);
-* ``counting_batched`` — the counting engine plus batched multi-trial
-  execution: its ``batch`` / ``backend`` params make ``run_scenario`` /
-  ``sweep_scenario`` advance trials through
-  :class:`~repro.sim.batched.BatchedCountingSimulator` (bit-identical
-  to serial trials, several times faster at moderate k);
+* ``counting_batched`` — the counting engine with an explicit lane
+  count: its ``batch`` param sets how many trials ``run_scenario`` /
+  ``sweep_scenario`` / grid workers / the service advance per
+  :class:`~repro.sim.batched.BatchedCountingSimulator` chunk.  Plain
+  ``counting`` specs batch by default too (``min(trials, 16)`` lanes),
+  so this name exists for digest compatibility of existing specs;
 * ``sequential`` — :class:`~repro.sim.sequential.SequentialSimulator`,
   the Appendix D.1 one-ant-per-round scheduler.
 """
@@ -29,7 +30,6 @@ from repro.sim.batched import DEFAULT_BATCH
 from repro.sim.counting import CountingSimulator
 from repro.sim.engine import Simulator
 from repro.sim.sequential import SequentialSimulator
-from repro.util.array_api import available_array_backends
 from repro.util.registry import Registry
 from repro.util.validation import check_integer
 
@@ -49,10 +49,9 @@ ENGINES = Registry("engine")
 #: Extended by ``register_engine(..., population_aware=True)``.
 POPULATION_AWARE_ENGINES: set[str] = {"counting", "counting_batched"}
 
-#: Engine names whose specs opt multi-trial runs into the batched
-#: executor (``run_scenario``/``sweep_scenario`` read the spec's
-#: ``batch``/``backend`` engine params and route trials through
-#: :class:`~repro.sim.batched.BatchedCountingSimulator`).
+#: Engine names whose specs carry an explicit lane count for multi-trial
+#: runs (:func:`repro.scenario.runner.resolve_batch` reads the spec's
+#: ``batch`` engine param).
 BATCHED_ENGINES: set[str] = {"counting_batched"}
 
 
@@ -132,15 +131,14 @@ def _build_counting_batched(
     batch: int = DEFAULT_BATCH,
     backend: str = "numpy",
 ) -> CountingSimulator:
-    # ``batch`` / ``backend`` are *orchestration* knobs: a single build
-    # still returns one serial CountingSimulator (a one-lane batch would
-    # only add overhead, and trials are bit-identical either way).  The
-    # scenario runners read them off the spec and group factory-built
-    # lanes into a BatchedCountingSimulator per chunk of trials.
+    # ``batch`` is an *orchestration* knob: a single build returns one
+    # CountingSimulator lane, and the trial runners read ``batch`` off
+    # the spec to group factory-built lanes into chunks.  ``backend``
+    # survives for the digests of existing specs; numpy is the only one.
     check_integer("batch", batch, minimum=1)
-    if backend not in available_array_backends():
+    if backend != "numpy":
         raise ConfigurationError(
-            f"unknown array backend {backend!r}; known: {available_array_backends()}"
+            f"unknown array backend {backend!r}; the counting engine runs on 'numpy' only"
         )
     return _build_counting(
         algorithm,

@@ -3,11 +3,12 @@
 ``run_scenario(spec)`` runs a single simulation and returns a
 :class:`~repro.sim.engine.SimulationResult`; ``run_scenario(spec,
 trials=...)`` routes through :func:`repro.sim.runner.run_trials` and
-returns a :class:`~repro.sim.runner.TrialSummary`.  The trial factory is
-:class:`ScenarioFactory` — a picklable wrapper around the spec — so
-``parallel=P`` farms trials to ``P`` worker processes for *any*
-configuration, with results bit-identical to the serial path (per-trial
-seeds are derived from the root seed either way).
+returns a :class:`~repro.sim.runner.TrialSummary`.  Counting-engine
+trials run in-process as batches of lanes by default.  The trial factory
+is :class:`ScenarioFactory` — a picklable wrapper around the spec — so
+``parallel=P`` instead farms trials to ``P`` worker processes for *any*
+configuration.  Results are bit-identical either way (per-trial seeds
+are derived from the root seed).
 
 ``sweep_scenario`` generalizes the one-parameter sweep: each swept value
 is applied to the spec via :meth:`ScenarioSpec.with_param` dotted paths
@@ -19,7 +20,7 @@ Both entry points accept a ``shared_pi_cache``: one
 (and, for sweeps, every sweep point) so counting-engine trials whose
 deficit signatures repeat reuse each other's join-kernel work.  The
 cache is runtime context, never spec data; results are bit-identical
-with or without it, serial or process-parallel (workers amortize
+with or without it, batched or process-parallel (workers amortize
 per-process — see :mod:`repro.sim.pi_cache`).
 
 Sweeps are additionally *resumable*: pass ``store=`` (a
@@ -46,6 +47,7 @@ import numpy as np
 
 from repro._version import __version__
 from repro.exceptions import ConfigurationError, SweepInterrupted
+from repro.sim.batched import DEFAULT_BATCH
 from repro.sim.engine import SimulationResult
 from repro.sim.pi_cache import SharedPiCache
 from repro.sim.runner import SweepResult, TrialSummary, run_trials
@@ -62,6 +64,7 @@ __all__ = [
     "sweep_scenario",
     "sweep_point_digest",
     "sweep_point_seed",
+    "resolve_batch",
     "SEED_MODES",
 ]
 
@@ -91,26 +94,23 @@ class ScenarioFactory:
         return self.spec.build(seed=seed, shared_pi_cache=self.shared_pi_cache)
 
 
-def _resolve_batch(
-    spec: ScenarioSpec, batch: int | None, parallel: int
-) -> tuple[int, str]:
-    """``(batch, array_backend)`` for a spec's multi-trial runs.
+def resolve_batch(spec: ScenarioSpec, batch: int | None = None, parallel: int = 0) -> int | None:
+    """The ``run_trials(batch=...)`` argument for a spec's multi-trial runs.
 
-    An explicit ``batch=`` wins outright (``run_trials`` rejects the
-    combination with ``processes``).  Otherwise a batched engine spec
-    (``counting_batched``) supplies its ``batch``/``backend`` params as
-    the default — unless the caller asked for process parallelism, which
-    takes precedence as the explicitly requested axis.
+    An explicit ``batch`` wins outright (``run_trials`` rejects a
+    positive one combined with processes).  Otherwise a
+    ``counting_batched`` spec supplies its ``batch`` param — unless the
+    caller asked for process parallelism, which takes precedence as the
+    explicitly requested axis — and every other spec gets ``None``, the
+    runner's default (counting trials batched ``min(trials, 16)`` at a
+    time).  Sweeps, grid workers and the service all resolve through
+    here, so one spec runs the same chunks on every path.
     """
-    params = spec.engine.params
-    backend = str(params.get("backend", "numpy"))
     if batch is not None:
-        return check_integer("batch", batch, minimum=0), backend
+        return check_integer("batch", batch, minimum=0)
     if spec.engine.name in BATCHED_ENGINES and parallel == 0:
-        from repro.sim.batched import DEFAULT_BATCH
-
-        return int(params.get("batch", DEFAULT_BATCH)), backend
-    return 0, backend
+        return int(spec.engine.params.get("batch", DEFAULT_BATCH))
+    return None
 
 
 def _closeness_inputs(spec: ScenarioSpec) -> tuple[float | None, float | None]:
@@ -147,14 +147,16 @@ def run_scenario(
         returns a :class:`TrialSummary` with per-trial seeds derived
         from the root seed.
     parallel:
-        Worker processes for multi-trial runs (0 = in-process).  The
-        statistics are bit-identical to the serial path.
+        Worker processes for multi-trial runs, one trial per worker at a
+        time (0 = in-process).  The statistics are bit-identical to the
+        in-process path.
     batch:
         Lanes per :class:`~repro.sim.batched.BatchedCountingSimulator`
-        chunk for multi-trial runs (counting engines only; bit-identical
-        to serial trials).  ``None`` (default) defers to the spec: a
-        ``counting_batched`` engine supplies its ``batch``/``backend``
-        params, any other engine runs unbatched.  ``0`` forces serial.
+        chunk for multi-trial runs (bit-identical at every value).
+        ``None`` (default) defers to the spec: a ``counting_batched``
+        engine supplies its ``batch`` param, and any other counting
+        spec batches ``min(trials, 16)`` trials at a time (see
+        :func:`resolve_batch`).  ``0`` runs one trial at a time.
     seed:
         Root seed override; defaults to ``spec.seed``.
     label:
@@ -183,7 +185,6 @@ def run_scenario(
         return simulator.run(rounds, **run_kwargs)
 
     gamma_star, total_demand = _closeness_inputs(spec)
-    batch, array_backend = _resolve_batch(spec, batch, parallel)
     return run_trials(
         ScenarioFactory(spec, shared_pi_cache),
         rounds,
@@ -193,8 +194,7 @@ def run_scenario(
         gamma_star=gamma_star,
         total_demand=total_demand,
         processes=parallel,
-        batch=batch,
-        array_backend=array_backend,
+        batch=resolve_batch(spec, batch, parallel),
         keep_results=keep_results,
         **run_kwargs,
     )
@@ -398,9 +398,9 @@ def sweep_scenario(
     seeds when a value is inserted, so it refuses to run store-backed.
 
     ``batch`` behaves as in :func:`run_scenario`: ``None`` (default)
-    defers to the spec — a ``counting_batched`` engine runs each point's
-    trials through the batched executor — and ``0`` forces serial
-    trials.  Either way the sweep statistics are bit-identical.
+    batches each point's counting trials (a ``counting_batched`` spec
+    sets the lane count), and ``0`` runs one trial at a time.  Either
+    way the sweep statistics are bit-identical.
 
     Only component params (``"component.param"`` paths) are sweepable:
     the trial runner controls the horizon and seed derivation itself,
@@ -450,7 +450,7 @@ def sweep_scenario(
     # Resolved once from the base spec: engine params are performance
     # knobs (results are bit-identical at any batch), so even a sweep
     # over an engine param keeps the base spec's batching.
-    batch, array_backend = _resolve_batch(spec, batch, parallel)
+    batch = resolve_batch(spec, batch, parallel)
     derived = [spec.with_param(parameter, value) for value in values]
 
     if seed_mode == "index":
@@ -505,7 +505,6 @@ def sweep_scenario(
             total_demand=total_demand,
             processes=parallel,
             batch=batch,
-            array_backend=array_backend,
             keep_results=keep_results,
             params={parameter: value},
             **run_kwargs,

@@ -13,8 +13,8 @@ frontier as it can get leases for.  The loop per pass over the points:
    have committed between our staleness check and the reclaim.
 4. **Execute** the point exactly as a store-backed ``sweep_scenario``
    would (same seed derivation, same label, same closeness inputs,
-   same merged run kwargs), heartbeating the lease from a daemon
-   thread throughout.
+   same merged run kwargs, same lane count), heartbeating the lease
+   from a daemon thread throughout.
 5. **Commit** the digest-keyed record atomically, then release the
    lease.
 
@@ -37,7 +37,7 @@ from typing import Any, Callable
 from repro.obs import get_registry
 from repro.obs import monotonic as obs_monotonic
 from repro.obs import span as obs_span
-from repro.scenario.runner import ScenarioFactory
+from repro.scenario.runner import ScenarioFactory, resolve_batch
 from repro.sim.pi_cache import SharedPiCache
 from repro.sim.runner import run_trials
 from repro.store import ResultStore
@@ -96,6 +96,7 @@ def run_worker(
     manager = LeaseManager(grid_dir, ttl=ttl, worker_id=worker_id)
     gamma_star, total_demand = grid.closeness_inputs()
     run_params = grid.run_params
+    batch = resolve_batch(grid.spec)
     stats = WorkerStats()
     # Per-outcome counters + point latency; cumulative, process-wide.
     registry = get_registry()
@@ -136,7 +137,7 @@ def run_worker(
                             label=point.label,
                             gamma_star=gamma_star,
                             total_demand=total_demand,
-                            processes=0,
+                            batch=batch,
                             keep_results=False,
                             params=dict(point.coords),
                             **run_params,
@@ -184,7 +185,7 @@ def execute_point(
         label=point.label,
         gamma_star=gamma_star,
         total_demand=total_demand,
-        processes=0,
+        batch=resolve_batch(grid.spec),
         keep_results=False,
         params=dict(point.coords),
         **grid.run_params,

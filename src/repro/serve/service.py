@@ -15,10 +15,10 @@ store.  ``submit`` computes the request's sweep-point digest and then:
 
 Workers drain the queue through the exact computation path a
 store-backed sweep or a :mod:`repro.sched` worker uses — same seed
-derivation, same label, same merged run kwargs, same record shape — so
-a record is byte-identical no matter which path computed it.  Each
-execution is guarded by the scheduler's lease protocol
-(:class:`repro.sched.leases.LeaseManager` under
+derivation, same label, same merged run kwargs, same lane count, same
+record shape — so a record is byte-identical no matter which path
+computed it.  Each execution is guarded by the scheduler's lease
+protocol (:class:`repro.sched.leases.LeaseManager` under
 ``<store>/sched/serve/``): several service processes may front one
 store, a crashed process's in-flight request is reclaimed after the
 TTL, and the digest-keyed idempotent commit makes the double-execution
@@ -41,7 +41,7 @@ from repro.exceptions import ServiceBusy
 from repro.obs import get_registry
 from repro.obs import monotonic as obs_monotonic
 from repro.obs import span as obs_span
-from repro.scenario.runner import ScenarioFactory
+from repro.scenario.runner import ScenarioFactory, resolve_batch
 from repro.sched.leases import DEFAULT_LEASE_TTL, Lease, LeaseManager
 from repro.serve.request import ScenarioRequest, request_record
 from repro.sim.pi_cache import SharedPiCache
@@ -348,7 +348,7 @@ class ScenarioService:
                     label=request.label(),
                     gamma_star=gamma_star,
                     total_demand=total_demand,
-                    processes=0,
+                    batch=resolve_batch(request.spec),
                     keep_results=False,
                     params=dict(request.params),
                     **request.merged_run_params(),

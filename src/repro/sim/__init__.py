@@ -5,9 +5,10 @@
 * :class:`~repro.sim.counting.CountingSimulator` — task-level engine for
   Algorithm Ant and the trivial algorithm under i.i.d. noise: O(k) work
   per round via binomial/multinomial draws, exact in distribution.
-* :class:`~repro.sim.batched.BatchedCountingSimulator` — B counting
-  trials advanced as one (B, k) array program, bit-identical per lane to
-  the serial engine.
+* :class:`~repro.sim.batched.BatchedCountingSimulator` — the counting
+  engine's round loop: B counting trials advanced as one (B, k) array
+  program, each lane bit-identical to its trial run alone (a single
+  ``CountingSimulator.run`` is a one-lane batch).
 * :class:`~repro.sim.sequential.SequentialSimulator` — the Appendix D.1
   one-ant-per-round schedule.
 * :mod:`~repro.sim.metrics` — regret / closeness / deficit traces.

@@ -1,44 +1,47 @@
-"""Batched counting engine: B independent trials per vectorized step.
+"""The counting engine's round programs: B trials per vectorized step.
 
-:class:`BatchedCountingSimulator` advances a *batch* of
+:class:`BatchedCountingSimulator` is the counting engine's only round
+loop.  It advances a *batch* of
 :class:`~repro.sim.counting.CountingSimulator` lanes — independent
-trials of one configuration, differing only in their seeds — through
-the same round loop as the serial engine, but with the per-round math
-expressed as stacked ``(B, k)`` array programs: one demand lookup, one
-feedback evaluation, one regret/metrics update per round for the whole
-batch instead of one per trial.  At small and medium ``k`` the serial
-engine is dominated by exactly this Python-level per-(trial, round)
-overhead (BENCH_counting.json: ~5500 rounds/s at k = 4 *and* k = 256,
-while a single kernel call costs microseconds), so batching trials is
-the lever the ROADMAP's "100 points x 10 trials in the time of one
-point" target needs.
+trials of one configuration, differing only in their seeds — with the
+per-round math expressed as stacked ``(B, k)`` array programs: one demand
+lookup, one feedback evaluation, one regret/metrics update per round for
+the whole batch instead of one per trial.  At small and medium ``k`` a
+trial's cost is dominated by exactly this Python-level per-round
+overhead (a single kernel call costs microseconds), so
+:func:`repro.sim.runner.run_trials` batches counting trials by default,
+and a single :meth:`CountingSimulator.run
+<repro.sim.counting.CountingSimulator.run>` is a one-lane batch.
 
 **Bit-identity, not just law-equivalence.**  Every lane draws from its
-own :class:`numpy.random.Generator`, derived exactly as the serial
-engine derives it (``RngFactory(seed).stream("counting")`` — the
-``SeedSequence`` entropy/spawn-key scheme of :mod:`repro.util.rng`), and
-the batched loop issues the identical sequence of
+own :class:`numpy.random.Generator`, derived from the lane's seed
+(``RngFactory(seed).stream("counting")`` — the ``SeedSequence``
+entropy/spawn-key scheme of :mod:`repro.util.rng`), and the loop issues
+per lane the identical sequence of
 ``binomial``/``multinomial``/``multivariate_hypergeometric`` calls with
-elementwise-identical arguments.  Trial i of a batched run is therefore
-**bit-identical** to trial i of the serial engine — same loads every
-round, same traces, same metrics — which is a strictly stronger claim
-than distributional bisimulation and is pinned per-algorithm by
-``tests/sim/test_batched.py``.  The vectorization win comes from the
-shared per-round math plus **cross-lane signature deduplication**: the
-batch owns one :class:`~repro.sim.counting.JoinDistributionCache`, so a
+elementwise-identical arguments at every batch size.  Trial i of a
+B-lane run is therefore **bit-identical** to the same trial run alone —
+same loads every round, same traces, same metrics — which is a strictly
+stronger claim than distributional bisimulation.  It is pinned
+per-algorithm by ``tests/sim/test_batched.py`` against the scalar round
+programs kept as a reference in ``tests/sim/serial_reference.py``.
+
+The vectorization win comes from the shared per-round math plus
+**cross-lane signature deduplication**: the batch adopts its first
+lane's :class:`~repro.sim.counting.JoinDistributionCache`, so a
 mark-probability signature appearing in several lanes the same round
 (or any round) pays for at most one kernel call, with the usual
 shared/disk tiers behind it.  Deduplicated kernel calls stay scalar per
 *distinct* signature on purpose: stacking signatures with different
 active sets would change the quadrature's summation order and break
-bit-identity with the serial kernel.
+bit-identity with the scalar kernel.
 
-Array operations route through the :mod:`repro.util.array_api` shim
-(``xp = get_namespace(backend)``): ``backend="numpy"`` (default, and
-the only backend the bit-identity claim covers) makes ``xp`` numpy
-itself at zero overhead, while a registered CuPy/Torch backend is a
-config switch.  Random draws always stay on numpy generators (see the
-shim's module docstring).
+At B = 1 there is nothing to share, so every step takes its cheapest
+exact form: draws go straight to the lane's ``Generator.binomial`` (the
+block sampler's own bit-identical fallback, see
+:mod:`repro.util.rng_block`) and feedback is evaluated without
+de-duplicating deficit values.  Load invariants are checked once per
+phase, after the decision round.
 """
 
 from __future__ import annotations
@@ -56,59 +59,57 @@ from repro.env.population import apply_population_change
 from repro.exceptions import AnalysisError, ConfigurationError, SimulationError
 from repro.obs import event as obs_event
 from repro.obs import span as obs_span
-from repro.sim.counting import CountingSimulator, JoinDistributionCache
+from repro.sim.counting import CountingSimulator, JoinCacheStats
 from repro.sim.engine import SimulationResult
 from repro.sim.metrics import RunMetrics
 from repro.sim.trace import Trace
 from repro.types import IDLE
-from repro.util.array_api import get_namespace
 from repro.util.rng_block import BinomialBlockSampler
 from repro.util.validation import check_integer
 
 __all__ = ["BatchedCountingSimulator", "BatchedRegretTracker", "DEFAULT_BATCH"]
 
-#: Default lane count for ``batch=True``-style opt-ins (engine specs,
-#: CLI).  Chosen to match the benchmark/acceptance operating point; any
-#: B >= 1 is valid and bit-identical.
+#: Lanes per chunk when ``run_trials`` batches counting trials by default
+#: (``min(trials, DEFAULT_BATCH)``), and the ``counting_batched`` spec
+#: engine's default ``batch``.  Any B >= 1 is valid and bit-identical.
 DEFAULT_BATCH = 16
 
 
-def _as_numpy(x):
-    """Materialize ``x`` as a numpy array at the RNG-draw boundary.
-
-    Draws always run on numpy generators (bit-identity), so non-numpy
-    backends pay one host transfer here: CuPy via ``.get()``, anything
-    else through ``np.asarray`` (Torch CPU tensors support the buffer
-    protocol).  Numpy arrays pass through untouched.
-    """
-    if isinstance(x, np.ndarray):
-        return x
-    get = getattr(x, "get", None)
-    if callable(get) and hasattr(x, "ndim"):
-        return np.asarray(get())
-    return np.asarray(x)
+#: The regret tracker stores up to this many rounds before folding them
+#: into its totals ...
+TRACKER_BLOCK_ROUNDS = 1024
+#: ... and at most this many distinct load entries (rows x B x k), so a
+#: block's temporaries stay cache-sized.
+TRACKER_BLOCK_ENTRIES = 1 << 14
 
 
 class BatchedRegretTracker:
     """Vectorized :class:`~repro.sim.metrics.RegretTracker` over B lanes.
 
-    Replicates the serial tracker's arithmetic exactly — same expression
-    shapes, same accumulation order per lane — on stacked ``(B, k)``
-    arrays, so :meth:`finalize` emits per-lane
-    :class:`~repro.sim.metrics.RunMetrics` bit-identical (on the numpy
-    backend) to B serial trackers fed the same rounds.
+    :meth:`observe` only stores a round's demands, loads and switch
+    counts, and a round whose demand and load arrays are the very
+    objects of the round before (hold rounds: the engine never mutates
+    a yielded stack) stores no new row at all.  Each block of stored
+    rounds (see :data:`TRACKER_BLOCK_ROUNDS`) is evaluated as one array
+    program over its distinct ``(B, k)`` rows, so the per-round cost is
+    a few copies instead of a few dozen small array operations.  Per
+    lane the arithmetic is the scalar tracker's exactly — the same
+    elementwise expressions and per-round row sums, and cumulative
+    totals folded round by round in order (``np.add.accumulate``) — so
+    :meth:`finalize` emits per-lane :class:`~repro.sim.metrics.RunMetrics`
+    bit-identical to B scalar trackers fed the same rounds.
     """
 
     def __init__(
         self,
         batch: int,
+        k: int,
         *,
         gamma: float = 0.0625,
         c_plus: float = 3.0,
         c_minus: float = 4.0,
         band_coefficient: float = 5.0,
         burn_in: int = 0,
-        xp=np,
     ) -> None:
         self.batch = int(batch)
         self.gamma = float(gamma)
@@ -116,69 +117,104 @@ class BatchedRegretTracker:
         self.c_minus = float(c_minus)
         self.band_coefficient = float(band_coefficient)
         self.burn_in = int(burn_in)
-        self._xp = xp
+        rounds = TRACKER_BLOCK_ROUNDS
+        rows = max(1, min(rounds, TRACKER_BLOCK_ENTRIES // (self.batch * k)))
+        # Per stored round: its number, its row, its switch counts.
+        self._ts = np.empty(rounds, dtype=np.int64)
+        self._row_of = np.empty(rounds, dtype=np.int64)
+        self._round_switches = np.empty((rounds, self.batch), dtype=np.int64)
+        # Per distinct row: demands and loads.
+        self._demands = np.empty((rows, 1, k), dtype=np.float64)
+        self._loads = np.empty((rows, self.batch, k), dtype=np.int64)
+        self._stored = 0
+        self._rows = 0
+        self._held: tuple[np.ndarray, np.ndarray] | None = None
         self._rounds = 0
-        self._cum = xp.zeros(self.batch, dtype=np.float64)
-        self._cum_plus = xp.zeros(self.batch, dtype=np.float64)
-        self._cum_near = xp.zeros(self.batch, dtype=np.float64)
-        self._cum_minus = xp.zeros(self.batch, dtype=np.float64)
-        self._switches = xp.zeros(self.batch, dtype=np.int64)
-        self._max_abs_deficit = xp.zeros(self.batch, dtype=np.float64)
-        self._outside_band = xp.zeros(self.batch, dtype=np.int64)
-        self._last_loads = None
-        self._last_deficits = None
-        self._demands_src = None
-        self._demands_f64 = None
-        self._over_threshold = None
-        self._lack_threshold = None
-        self._band = None
+        # Cumulative regret, R+, R~ and R-, one row each.
+        self._cum = np.zeros((4, self.batch), dtype=np.float64)
+        self._switches = np.zeros(self.batch, dtype=np.int64)
+        self._max_abs_deficit = np.zeros(self.batch, dtype=np.float64)
+        self._outside_band = np.zeros(self.batch, dtype=np.int64)
+        self._last_loads: np.ndarray | None = None
+        self._last_deficits: np.ndarray | None = None
 
-    def observe(self, t: int, demands, loads, switches):
-        """Record round ``t`` for all lanes; returns per-lane ``r(t)``.
+    @staticmethod
+    def regrets(demands: np.ndarray, loads: np.ndarray) -> np.ndarray:
+        """Per-lane instantaneous regret ``r(t) = sum_j |d(j) - W(j)|``."""
+        return np.abs(np.asarray(demands, dtype=np.float64) - loads.astype(np.float64)).sum(
+            axis=-1
+        )
+
+    def observe(self, t: int, demands: np.ndarray, loads: np.ndarray, switches) -> None:
+        """Record round ``t`` for all lanes.
 
         ``demands`` is the shared ``(k,)`` vector, ``loads`` the stacked
         ``(B, k)`` integer loads, ``switches`` the per-lane ``(B,)``
-        switch counts.
+        switch counts.  ``loads`` must not be mutated afterwards.
         """
-        xp = self._xp
-        # The demand vector is usually the same object round after round
-        # (static and piecewise-constant schedules); cache its float64
-        # image and the derived overload/lack thresholds and band.
-        if demands is not self._demands_src:
-            self._demands_src = demands
-            d = xp.asarray(demands, dtype=np.float64)
-            self._demands_f64 = d
-            self._over_threshold = (1.0 + self.c_plus * self.gamma) * d
-            self._lack_threshold = (1.0 - self.c_minus * self.gamma) * d
-            self._band = self.band_coefficient * self.gamma * d + 3.0
-        demands = self._demands_f64
-        loads = xp.asarray(loads, dtype=np.float64)
-        deficits = demands - loads
-        abs_deficits = xp.abs(deficits)
-        r = abs_deficits.sum(axis=-1)
+        held = self._held
+        if held is None or held[0] is not loads or held[1] is not demands:
+            j = self._rows
+            self._demands[j, 0] = demands
+            self._loads[j] = loads
+            self._rows = j + 1
+            self._held = (loads, demands)
+        i = self._stored
+        self._ts[i] = t
+        self._row_of[i] = self._rows - 1
+        self._round_switches[i] = switches
         self._rounds = t
-        # ``loads`` and ``deficits`` are freshly allocated above — safe to
-        # hold without the serial tracker's defensive copies.
-        self._last_loads = loads
-        self._last_deficits = deficits
-        if t > self.burn_in:
-            self._cum += r
-            # split_regret, vectorized with the serial expression shapes.
-            over = xp.maximum(loads - self._over_threshold, 0.0).sum(axis=-1)
-            lackv = xp.maximum(self._lack_threshold - loads, 0.0).sum(axis=-1)
-            self._cum_plus += over
-            self._cum_near += r - over - lackv
-            self._cum_minus += lackv
-            self._switches += switches
-            self._max_abs_deficit = xp.maximum(
-                self._max_abs_deficit, abs_deficits.max(axis=-1)
-            )
-            self._outside_band += (abs_deficits > self._band).any(axis=-1)
-        return r
+        self._stored = i + 1
+        if self._stored == self._ts.shape[0] or self._rows == self._loads.shape[0]:
+            self._evaluate()
+
+    def _evaluate(self) -> None:
+        """Fold the stored rounds into the running totals."""
+        m, n = self._stored, self._rows
+        self._stored = self._rows = 0
+        self._held = None
+        if m == 0:
+            return
+        d = self._demands[:n]
+        loads = self._loads[:n].astype(np.float64)
+        deficits = d - loads
+        self._last_loads = loads[-1]
+        self._last_deficits = deficits[-1].copy()  # |deficits| overwrites them
+        # Rounds past the burn-in are a suffix of the stored ones, and
+        # their rows a suffix of the stored rows.
+        first = int(np.searchsorted(self._ts[:m], self.burn_in, side="right"))
+        if first == m:
+            return
+        row_of = self._row_of[first:m]
+        lo = int(row_of[0])
+        d, loads, deficits = d[lo:], loads[lo:], deficits[lo:]
+        abs_deficits = np.abs(deficits, out=deficits)
+        per_row = np.empty((4, n - lo, self.batch), dtype=np.float64)
+        r, over, near, lackv = per_row
+        np.add.reduce(abs_deficits, axis=-1, out=r)
+        # split_regret, with the scalar expression shapes.
+        x = np.subtract(loads, (1.0 + self.c_plus * self.gamma) * d)
+        np.add.reduce(np.maximum(x, 0.0, out=x), axis=-1, out=over)
+        np.subtract((1.0 - self.c_minus * self.gamma) * d, loads, out=x)
+        np.add.reduce(np.maximum(x, 0.0, out=x), axis=-1, out=lackv)
+        np.subtract(r - over, lackv, out=near)
+        steps = np.empty((m - first + 1, 4, self.batch), dtype=np.float64)
+        steps[0] = self._cum
+        steps[1:] = per_row[:, row_of - lo].transpose(1, 0, 2)
+        # One addition per round, in round order: the scalar fold.
+        self._cum = np.add.accumulate(steps, axis=0)[-1]
+        self._switches += self._round_switches[first:m].sum(axis=0)
+        np.maximum(
+            self._max_abs_deficit, abs_deficits.max(axis=(0, 2)), out=self._max_abs_deficit
+        )
+        band = self.band_coefficient * self.gamma * d + 3.0
+        outside = (abs_deficits > band).any(axis=-1)
+        self._outside_band += outside[row_of - lo].sum(axis=0)
 
     def finalize(self) -> list[RunMetrics]:
         """Per-lane :class:`RunMetrics`, in lane order."""
-        if self._rounds == 0 or self._last_loads is None:
+        self._evaluate()
+        if self._rounds == 0 or self._last_loads is None or self._last_deficits is None:
             raise AnalysisError("no rounds observed")
         effective = self._rounds - self.burn_in
         if effective <= 0:
@@ -186,19 +222,18 @@ class BatchedRegretTracker:
                 f"burn_in={self.burn_in} excludes all {self._rounds} observed "
                 "rounds; cumulative metrics would be vacuously zero"
             )
-        last_loads = _as_numpy(self._last_loads)
-        last_deficits = _as_numpy(self._last_deficits)
+        cum, plus, near, minus = self._cum
         return [
             RunMetrics(
                 rounds=effective,
-                cumulative_regret=float(self._cum[b]),
-                regret_plus=float(self._cum_plus[b]),
-                regret_near=float(self._cum_near[b]),
-                regret_minus=float(self._cum_minus[b]),
+                cumulative_regret=float(cum[b]),
+                regret_plus=float(plus[b]),
+                regret_near=float(near[b]),
+                regret_minus=float(minus[b]),
                 total_switches=int(self._switches[b]),
                 max_abs_deficit=float(self._max_abs_deficit[b]),
-                final_loads=last_loads[b].copy(),
-                final_deficits=last_deficits[b].copy(),
+                final_loads=self._last_loads[b].copy(),
+                final_deficits=self._last_deficits[b].copy(),
                 rounds_outside_band=int(self._outside_band[b]),
                 band_coefficient=self.band_coefficient,
             )
@@ -227,37 +262,54 @@ def _lane_signature(sim: CountingSimulator) -> tuple:
     )
 
 
-class BatchedCountingSimulator:
+def _loads_to_assignment(loads: np.ndarray, living: int) -> np.ndarray:
+    """Materialize *an* assignment consistent with ``loads``.
+
+    Workers of task 0 first, then task 1, ..., then the idle ants.  Sized
+    by the *living* colony, not the capacity ``n``: after a population
+    shrink, dead ants must not show up as extra IDLE workers.
+    """
+    labels = np.append(np.arange(loads.shape[0], dtype=np.int64), IDLE)
+    return np.repeat(labels, np.append(loads, living - int(loads.sum())))
+
+
+def _sample_joins_per_ant(idle: int, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Exact O(idle * k) per-ant simulation of the join step.
+
+    Each ant marks task ``j`` w.p. ``u[j]`` independently and joins a
+    uniform marked task (idle if none) — the cross-check of the kernel's
+    ``Multinomial(idle, pi)`` (``join_strategy="per_ant"``).
+    """
+    k = u.shape[0]
+    marks = rng.random((idle, k)) < u[np.newaxis, :]
+    counts = np.zeros(k, dtype=np.int64)
+    row_counts = marks.sum(axis=1)
+    rows = np.nonzero(row_counts > 0)[0]
+    if rows.size:
+        r = rng.integers(0, row_counts[rows])
+        csum = np.cumsum(marks[rows], axis=1)
+        chosen = np.argmax(csum > r[:, np.newaxis], axis=1)
+        counts += np.bincount(chosen, minlength=k).astype(np.int64)
+    return counts
+
+
+class BatchedCountingSimulator(JoinCacheStats):
     """Advance B :class:`CountingSimulator` lanes as one array program.
 
-    Parameters
-    ----------
-    simulators:
-        The lanes: independent trials of *one* configuration (same
-        algorithm/demand/feedback/population/engine options), differing
-        only in their seeds — exactly what a ``factory(seed)`` loop
-        produces.  Configuration facets the batched loop depends on are
-        validated; build lanes from a single factory.
-    backend:
-        Array-namespace name for the stacked math (see
-        :mod:`repro.util.array_api`).  ``"numpy"`` is the default and
-        the only backend covered by the bit-identity guarantee; any
-        numpy-API-compatible namespace (e.g. CuPy) is a config switch.
+    ``simulators`` are the lanes: independent trials of *one*
+    configuration (same algorithm/demand/feedback/population/engine
+    options), differing only in their seeds — exactly what a
+    ``factory(seed)`` loop produces.  Configuration facets the batched
+    loop depends on are validated; build lanes from a single factory.
 
     :meth:`run` returns one :class:`~repro.sim.engine.SimulationResult`
-    per lane, in order, each bit-identical to what ``lane.run(...)``
-    would have returned on a fresh lane.  Draws consume the lanes' own
-    ``"counting"`` RNG streams, so a lane should not be reused serially
-    after running it batched (build fresh simulators instead — they are
-    cheap relative to any run).
+    per lane, in order, each bit-identical to the lane run alone.  Draws
+    consume the lanes' own ``"counting"`` RNG streams, so a lane should
+    not be run again after running it batched (build fresh simulators
+    instead — they are cheap relative to any run).
     """
 
-    def __init__(
-        self,
-        simulators: Sequence[CountingSimulator],
-        *,
-        backend: str = "numpy",
-    ) -> None:
+    def __init__(self, simulators: Sequence[CountingSimulator]) -> None:
         lanes = list(simulators)
         if not lanes:
             raise ConfigurationError("BatchedCountingSimulator needs at least one lane")
@@ -268,9 +320,9 @@ class BatchedCountingSimulator:
                     f"{type(sim).__name__} — batch applies to the counting engine "
                     "(engine spec 'counting' / 'counting_batched') only"
                 )
-        signature = _lane_signature(lanes[0])
-        for sim in lanes[1:]:
-            if _lane_signature(sim) != signature:
+        if len(lanes) > 1:
+            signature = _lane_signature(lanes[0])
+            if any(_lane_signature(sim) != signature for sim in lanes[1:]):
                 raise ConfigurationError(
                     "batched lanes must share one configuration (same algorithm, "
                     "demand, feedback, population and engine options, differing "
@@ -278,8 +330,6 @@ class BatchedCountingSimulator:
                 )
         self.lanes = lanes
         self.batch = len(lanes)
-        self._xp = get_namespace(backend)
-        self.backend = backend
         lane0 = lanes[0]
         self.algorithm = lane0.algorithm
         self.schedule = lane0.schedule
@@ -289,47 +339,24 @@ class BatchedCountingSimulator:
         self.k = lane0.k
         self.join_strategy = lane0.join_strategy
         self._n_current = int(self.population.population_at(0))
-        # One cache for the whole batch: cross-lane signature dedup is
-        # the batched engine's kernel-side win.  Same tiers and key
-        # scheme as the serial engine (see JoinDistributionCache).
-        self._join_cache = JoinDistributionCache(
-            enabled=lane0.pi_cache_enabled, shared=lane0.shared_pi_cache
-        )
+        # The first lane's cache serves the whole batch: cross-lane
+        # signature dedup is batching's kernel-side win, and a one-lane
+        # run keeps its simulator's cache warm across runs.
+        self._join_cache = lane0._join_cache
         # Exact vectorized replay of numpy's binomial inversion sampler;
         # removes the ~10-15 us *fixed* overhead of each per-lane
         # Generator.binomial broadcast call (see repro.util.rng_block).
-        self._binom_block = BinomialBlockSampler()
+        # One lane makes one such call either way, so it draws directly.
+        self._binom_block = BinomialBlockSampler() if self.batch > 1 else None
         # Scalar-lam sigmoid feedback is a pure value map, and stacked
         # integer-load deficits take a few dozen distinct values; its
         # lack probabilities can be evaluated once per distinct value
-        # and scattered back (numpy backend only — on other backends the
-        # deficits are device arrays).
+        # and scattered back.  One lane has at most k values: no gain.
         self._dedup_feedback = (
-            self._xp is np
+            self.batch > 1
             and isinstance(self.feedback, SigmoidFeedback)
             and isinstance(self.feedback.lam, float)
         )
-
-    # ------------------------------------------------------------------
-    @property
-    def pi_cache_local_hits(self) -> int:
-        return self._join_cache.local_hits
-
-    @property
-    def pi_cache_shared_hits(self) -> int:
-        return self._join_cache.shared_hits
-
-    @property
-    def pi_cache_disk_hits(self) -> int:
-        return self._join_cache.disk_hits
-
-    @property
-    def pi_cache_misses(self) -> int:
-        return self._join_cache.misses
-
-    @property
-    def pi_cache_hits(self) -> int:
-        return self._join_cache.hits
 
     # ------------------------------------------------------------------
     def run(
@@ -342,10 +369,10 @@ class BatchedCountingSimulator:
     ) -> list[SimulationResult]:
         """Run all lanes for ``rounds`` rounds; one result per lane.
 
-        Accepts the serial engine's run options except ``tracker`` (per
-        lane custom trackers cannot be vectorized; run serially for
-        that).  Cache statistics reset at each call, exactly like the
-        serial engine's.
+        ``trace_stride``/``tail_window`` record per-lane traces and
+        ``burn_in`` excludes leading rounds from the cumulative metrics
+        (see :meth:`repro.sim.engine.Simulator.run`).  Cache statistics
+        reset at each call.
         """
         rounds = check_integer("rounds", rounds, minimum=1)
         burn_in = check_integer("burn_in", burn_in, minimum=0)
@@ -355,9 +382,7 @@ class BatchedCountingSimulator:
                 "contribute to the cumulative metrics"
             )
         gamma = getattr(self.algorithm, "gamma", 1.0 / 16.0)
-        tracker = BatchedRegretTracker(
-            self.batch, gamma=float(gamma), burn_in=burn_in, xp=self._xp
-        )
+        tracker = BatchedRegretTracker(self.batch, self.k, gamma=float(gamma), burn_in=burn_in)
         traces = [
             Trace(stride=trace_stride or max(rounds, 1), tail_window=tail_window)
             for _ in self.lanes
@@ -366,6 +391,9 @@ class BatchedCountingSimulator:
         rngs = [lane._rng_factory.stream("counting") for lane in self.lanes]
         self.feedback.reset()
         self._n_current = int(self.population.population_at(0))
+        # Rewind every cache counter so back-to-back runs report one run
+        # each; the cache *contents* stay warm (content-addressed, so
+        # reuse across runs is correct and bit-identical).
         self._join_cache.reset_stats()
 
         if isinstance(self.algorithm, AntAlgorithm):
@@ -375,29 +403,31 @@ class BatchedCountingSimulator:
         else:
             loads_iter = self._run_trivial(rounds, rngs)
 
-        W = self._stack_initial_loads()
+        demands_at = self.schedule.demands_at
+        W = self._initial_loads()
         with obs_span(
-            "batched_run",
-            engine="batched",
+            "counting_run",
+            engine="counting",
             algorithm=type(self.algorithm).__name__,
             k=self.k,
             rounds=rounds,
             batch=self.batch,
         ):
             for t, W, switches in loads_iter:
-                d_now = self.schedule.demands_at(t).demands
-                r = tracker.observe(t, d_now, W, switches)
+                d_now = demands_at(t).demands
+                tracker.observe(t, d_now, W, switches)
                 if record_trace:
+                    r = tracker.regrets(d_now, W)
                     for b, trace in enumerate(traces):
                         trace.record(t, W[b], float(r[b]))
-        obs_event("pi_cache_stats", engine="batched", **self._join_cache.stats())
+        obs_event("pi_cache_stats", engine="counting", **self._join_cache.stats())
 
         metrics = tracker.finalize()
         return [
             SimulationResult(
                 metrics=metrics[b],
                 trace=traces[b],
-                final_assignment=self._loads_to_assignment(np.asarray(W[b])),
+                final_assignment=_loads_to_assignment(W[b], self._n_current),
                 rounds=rounds,
                 n=self.n,
                 k=self.k,
@@ -407,36 +437,42 @@ class BatchedCountingSimulator:
         ]
 
     # ------------------------------------------------------------------
-    def _stack_initial_loads(self) -> np.ndarray:
-        return np.stack(
-            [lane.initial_loads.astype(np.int64).copy() for lane in self.lanes]
-        )
+    def _initial_loads(self) -> np.ndarray:
+        return np.stack([lane.initial_loads for lane in self.lanes])
 
-    def _lack_probabilities(self, deficits):
-        """Feedback probabilities for the stacked deficit matrix.
+    def _lack_probabilities(self, deficits: np.ndarray, then=None) -> np.ndarray:
+        """Feedback probabilities for the stacked deficit matrix, mapped
+        through the elementwise function ``then`` when given.
 
         For scalar-lam sigmoid feedback the map is elementwise in the
         deficit *value*, so evaluate the few dozen distinct values once
         and gather — the gather preserves bit patterns, so this matches
-        the full-matrix evaluation exactly.
+        the full-matrix evaluation exactly.  Integer deficits spanning
+        fewer values than the matrix holds are looked up in a table of
+        their whole range, which needs no sort.
         """
         if self._dedup_feedback:
-            deficits = np.asarray(deficits)
-            values, inverse = np.unique(deficits, return_inverse=True)
-            probs = np.asarray(self.feedback.lack_probabilities(values))
-            return probs[inverse].reshape(deficits.shape)
-        return self.feedback.lack_probabilities(self._xp.asarray(deficits))
+            lo, hi = int(deficits.min()), int(deficits.max())
+            if deficits.dtype.kind == "i" and hi - lo < deficits.size:
+                values = np.arange(lo, hi + 1, dtype=deficits.dtype)
+                index = deficits - lo
+            else:
+                values, index = np.unique(deficits, return_inverse=True)
+            probs = self.feedback.lack_probabilities(values)
+            if then is not None:
+                probs = then(probs)
+            return probs[index].reshape(deficits.shape)
+        probs = self.feedback.lack_probabilities(deficits)
+        return probs if then is None else then(probs)
 
     def _binomial_lanes(
         self, rngs: list[np.random.Generator], counts: np.ndarray, p
     ) -> np.ndarray:
         """Per-lane ``rng.binomial(counts[b], p[b])`` — one generator per
-        lane so each lane's stream consumption matches the serial engine
-        call for call (``p`` may be scalar, broadcast to all lanes)."""
-        if hasattr(p, "ndim"):
-            p = _as_numpy(p)
-            if p.ndim == 0:
-                p = float(p)
+        lane so each lane's stream consumption is the same at every batch
+        size (``p`` is a float shared by all lanes, or ``(B, k)``)."""
+        if self._binom_block is None:
+            return rngs[0].binomial(counts, p)
         drawn = self._binom_block.draw(rngs, counts, p)
         if drawn is not None:
             return drawn
@@ -444,15 +480,12 @@ class BatchedCountingSimulator:
         # distinct p, or BTPE territory): per-lane numpy calls — slower,
         # bit-identical by construction.
         out = np.empty_like(counts)
-        if isinstance(p, np.ndarray) and p.ndim > 1:
-            for b, rng in enumerate(rngs):
-                out[b] = rng.binomial(counts[b], p[b])
-        else:
-            for b, rng in enumerate(rngs):
-                out[b] = rng.binomial(counts[b], p)
+        per_lane = isinstance(p, np.ndarray) and p.ndim > 1
+        for b, rng in enumerate(rngs):
+            out[b] = rng.binomial(counts[b], p[b] if per_lane else p)
         return out
 
-    def _sample_joins_batched(
+    def _sample_joins(
         self,
         idle: np.ndarray,
         underload_probs: np.ndarray,
@@ -460,24 +493,25 @@ class BatchedCountingSimulator:
     ) -> np.ndarray:
         """Joint join counts for every lane's idle pool.
 
-        Mirrors the serial ``_sample_joins`` per lane (including its
-        no-draw early exit for an empty pool), but resolves each
-        *distinct* mark signature through the batch-level cache exactly
-        once per round — lanes whose deficits coincide (common in steady
-        state) share one kernel call.
+        Lane ``b``'s ``idle[b]`` exchangeable idle ants each mark task
+        ``j`` w.p. ``underload_probs[b, j]`` and join a uniform marked
+        task; the default draws one ``Multinomial(idle, pi)`` over the
+        exact action distribution, and an empty pool draws nothing.
+        Each *distinct* mark signature resolves through the batch's
+        cache — lanes whose deficits coincide (common in steady state)
+        share one kernel call.
         """
         k = self.k
         joins = np.zeros((self.batch, k), dtype=np.int64)
-        u = np.clip(_as_numpy(underload_probs), 0.0, 1.0)
-        idle_counts = idle.tolist() if isinstance(idle, np.ndarray) else list(idle)
+        u = np.clip(underload_probs, 0.0, 1.0)
+        lanes = zip(idle.tolist(), rngs)
         if self.join_strategy == "per_ant":
-            for b, rng in enumerate(rngs):
-                n_idle = int(idle_counts[b])
+            for b, (n_idle, rng) in enumerate(lanes):
                 if n_idle > 0:
-                    joins[b] = self.lanes[b]._sample_joins_per_ant(n_idle, u[b], rng)
+                    joins[b] = _sample_joins_per_ant(n_idle, u[b], rng)
             return joins
         distribution = self._join_cache.distribution
-        if not self._join_cache.enabled:
+        if not self._join_cache.enabled and self.batch > 1:
             # Caching off: still dedup signatures within this call so the
             # batch pays at most one kernel call per distinct signature.
             round_pis: dict[bytes, np.ndarray] = {}
@@ -490,22 +524,21 @@ class BatchedCountingSimulator:
                     round_pis[key] = pi
                 return pi
 
-        for b, rng in enumerate(rngs):
-            n_idle = int(idle_counts[b])
-            if n_idle <= 0:
-                continue
-            joins[b] = rng.multinomial(n_idle, distribution(u[b]))[:k]
+        for b, (n_idle, rng) in enumerate(lanes):
+            if n_idle > 0:
+                joins[b] = rng.multinomial(n_idle, distribution(u[b]))[:k]
         return joins
 
-    def _apply_population_batched(
+    def _apply_population(
         self, t: int, W: np.ndarray, rngs: list[np.random.Generator]
     ) -> np.ndarray:
         """Resize every lane to the scheduled size at round ``t``.
 
         The schedule is deterministic and shared, so all lanes resize at
-        the same rounds; the hypergeometric death draws stay per-lane on
-        the lane's own stream (serial call parity).  Copy-on-change: the
-        incoming stack (possibly still referenced by the trackers) is
+        the same rounds.  Deaths strike uniformly at random
+        (hypergeometric across tasks and the idle pool, per lane on the
+        lane's own stream); arrivals join the idle pool.  Copy-on-change:
+        the incoming stack (possibly still referenced by the tracker) is
         never mutated."""
         n_new = int(self.population.population_at(t))
         if n_new != self._n_current:
@@ -522,101 +555,119 @@ class BatchedCountingSimulator:
                 f"load vector out of range: {W} (living ants={self._n_current})"
             )
 
-    def _loads_to_assignment(self, loads: np.ndarray) -> np.ndarray:
-        """Same layout as ``CountingSimulator._loads_to_assignment``."""
-        out = np.full(self._n_current, IDLE, dtype=np.int64)
-        pos = 0
-        for j, w in enumerate(loads):
-            out[pos : pos + int(w)] = j
-            pos += int(w)
-        return out
-
     # ------------------------------------------------------------------
-    def _run_ant(self, rounds: int, rngs: list[np.random.Generator]):
-        """Yield ``(t, loads, switches)`` stacks for Algorithm Ant phases.
+    # Round programs.  Each yields ``(t, loads, switches)`` per round:
+    # ``(B, k)`` loads and ``(B,)`` switch counts.  Every yielded stack is
+    # freshly allocated (population resizes are copy-on-change), so it is
+    # never mutated later and needs no defensive copy.  Pauses and leaves
+    # never exceed the phase-start loads and joins never exceed the idle
+    # pool, so the load check runs once per phase, after its decisions.
 
-        Every intermediate is freshly allocated (population resizes are
-        copy-on-change), so yielded stacks are never mutated later and
-        need no defensive copies.
+    def _run_ant(self, rounds: int, rngs: list[np.random.Generator]):
+        """Algorithm Ant: two-round phases (sample 1 + pause, sample 2 +
+        decisions).
+
+        Phase-start loads and sample-1 probabilities persist across the
+        two rounds of a phase.
         """
-        xp = self._xp
         alg: AntAlgorithm = self.algorithm  # type: ignore[assignment]
         lack_probabilities = self._lack_probabilities
         demands_at = self.schedule.demands_at
         pause_p = alg.pause_probability
         leave_p = alg.leave_probability
-        W = self._stack_initial_loads()
+        W = self._initial_loads()
         W_phase = W
-        p1 = xp.zeros((self.batch, self.k), dtype=np.float64)
+        p1 = np.zeros((self.batch, self.k), dtype=np.float64)
         for t in range(1, rounds + 1):
             d_prev = demands_at(t - 1).demands
             if t % 2 == 1:
-                W = self._apply_population_batched(t, W, rngs)
+                # Round 1: sample-1 marginals, temporary pauses.
+                W = self._apply_population(t, W, rngs)
                 W_phase = W
                 p1 = lack_probabilities(d_prev - W)
                 paused = self._binomial_lanes(rngs, W_phase, pause_p)
                 W = W_phase - paused
-                self._check(W)
                 yield t, W, paused.sum(axis=-1)
             else:
+                # Round 2: sample-2 marginals (of the thinned load);
+                # permanent leaves among the phase-start workers, joins
+                # by idle-at-phase-start ants.
                 p2 = lack_probabilities(d_prev - W)
                 q_leave = (1.0 - p1) * (1.0 - p2) * leave_p
                 leavers = self._binomial_lanes(rngs, W_phase, q_leave)
                 idle = self._n_current - W_phase.sum(axis=-1)
-                joins = self._sample_joins_batched(idle, p1 * p2, rngs)
-                prev_paused = W_phase - W
+                joins = self._sample_joins(idle, p1 * p2, rngs)
+                prev_paused = W_phase - W  # ants that resume this round
                 W = W_phase - leavers + joins
                 self._check(W)
+                # Switches: leavers + joiners + resumers returning to work
+                # (pauses were counted in the round they paused).
                 yield t, W, (leavers + joins + prev_paused).sum(axis=-1)
 
     def _run_precise_sigmoid(self, rounds: int, rngs: list[np.random.Generator]):
-        """Yield ``(t, loads, switches)`` stacks for Precise Sigmoid phases."""
+        """Algorithm Precise Sigmoid: ``2m``-round phases.
+
+        Within a phase, the loads are piecewise constant: ``W_phase``
+        during the sample-1 window (assignments held), ``W_mid`` after
+        the round-``m`` pause, and ``W_next`` after the end-of-phase
+        decision.  Each ant's two *medians* are therefore i.i.d.
+        Bernoulli with the binomially amplified probabilities
+        ``P_med = P[Binom(m, s(lambda*Delta)) > m/2]``, which makes the
+        phase-level colony transition identical in law to one Algorithm
+        Ant phase at step size ``gamma'`` — exactly the reduction the
+        Theorem 3.2 proof performs.
+        """
         alg: PreciseSigmoidAlgorithm = self.algorithm  # type: ignore[assignment]
         lack_probabilities = self._lack_probabilities
         demands_at = self.schedule.demands_at
         m = alg.m
-        W = self._stack_initial_loads()
+        W = self._initial_loads()
         W_phase = W
-        P1 = self._xp.zeros((self.batch, self.k), dtype=np.float64)
-        majority = m // 2
+        P1 = np.zeros((self.batch, self.k), dtype=np.float64)
+        majority = m // 2  # median LACK iff lack-count > m/2, i.e. >= majority+1
+
+        def median_lack(p: np.ndarray) -> np.ndarray:
+            return stats.binom.sf(majority, m, p)
+
         hold = np.zeros(self.batch, dtype=np.int64)
         for t in range(1, rounds + 1):
             r = t % (2 * m)
             d_prev = demands_at(t - 1).demands
             if r == 1:
-                W = self._apply_population_batched(t, W, rngs)
+                # Sample-1 window opens: loads frozen at W_phase.
+                W = self._apply_population(t, W, rngs)
                 W_phase = W
-                p1 = lack_probabilities(d_prev - W_phase)
-                P1 = stats.binom.sf(majority, m, p1)
+                P1 = lack_probabilities(d_prev - W_phase, median_lack)
             if r == m:
+                # End of window 1: temporary pauses thin the load.
                 paused = self._binomial_lanes(rngs, W_phase, alg.pause_probability)
                 W = W_phase - paused
-                self._check(W)
                 yield t, W, paused.sum(axis=-1)
             elif r == 0:
-                p2 = lack_probabilities(d_prev - W)
-                P2 = stats.binom.sf(majority, m, p2)
+                # End of phase: medians of window 2, Ant-style decisions.
+                P2 = lack_probabilities(d_prev - W, median_lack)
                 q_leave = (1.0 - P1) * (1.0 - P2) * alg.leave_probability
                 leavers = self._binomial_lanes(rngs, W_phase, q_leave)
                 idle = self._n_current - W_phase.sum(axis=-1)
-                joins = self._sample_joins_batched(idle, P1 * P2, rngs)
+                joins = self._sample_joins(idle, P1 * P2, rngs)
                 resumed = W_phase - W
                 W = W_phase - leavers + joins
                 self._check(W)
                 yield t, W, (leavers + joins + resumed).sum(axis=-1)
             else:
+                # Hold rounds: loads unchanged.
                 yield t, W, hold
 
     def _run_trivial(self, rounds: int, rngs: list[np.random.Generator]):
-        """Yield ``(t, loads, switches)`` stacks for the trivial algorithm."""
+        """The trivial algorithm: every round is a phase."""
         alg = self.algorithm
         lack_probabilities = self._lack_probabilities
         demands_at = self.schedule.demands_at
         leave_p = alg.leave_probability
         join_p = alg.join_probability
-        W = self._stack_initial_loads()
+        W = self._initial_loads()
         for t in range(1, rounds + 1):
-            W = self._apply_population_batched(t, W, rngs)
+            W = self._apply_population(t, W, rngs)
             d_prev = demands_at(t - 1).demands
             p = lack_probabilities(d_prev - W)
             leavers = self._binomial_lanes(rngs, W, (1.0 - p) * leave_p)
@@ -624,14 +675,13 @@ class BatchedCountingSimulator:
             if join_p >= 1.0:
                 attempters = idle
             else:
+                # Rate-limited variant: only a q-thinned subset of idle
+                # ants attempts to join this round.
                 attempters = np.array(
-                    [
-                        int(rng.binomial(n_idle, join_p))
-                        for n_idle, rng in zip(idle.tolist(), rngs)
-                    ],
+                    [int(rng.binomial(n_idle, join_p)) for n_idle, rng in zip(idle.tolist(), rngs)],
                     dtype=np.int64,
                 )
-            joins = self._sample_joins_batched(attempters, p, rngs)
+            joins = self._sample_joins(attempters, p, rngs)
             W = W - leavers + joins
             self._check(W)
             yield t, W, (leavers + joins).sum(axis=-1)

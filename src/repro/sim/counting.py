@@ -26,6 +26,12 @@ exchangeable.  The engine therefore simulates loads directly:
   oracle, and per-idle-ant sampling (``join_strategy="per_ant"``) only
   as a distributional cross-check.
 
+This module holds one trial's configuration (:class:`CountingSimulator`)
+and the join-distribution cache.  The round programs live in
+:mod:`repro.sim.batched`: a single run is a one-lane batch, and
+:func:`repro.sim.runner.run_trials` advances multi-trial runs as
+batches of lanes.
+
 This is the guides' "algorithmic optimization first": identical law to
 the agent engine (property-tested in
 ``tests/sim/test_engine_equivalence.py``) at a per-round cost independent
@@ -37,30 +43,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from scipy import stats
-
 from repro.core.ant import AntAlgorithm
 from repro.core.precise_sigmoid import PreciseSigmoidAlgorithm
 from repro.core.trivial import TrivialAlgorithm
 from repro.env.demands import DemandSchedule, DemandVector
 from repro.env.feedback import FeedbackModel
-from repro.env.population import PopulationSchedule, StaticPopulation, apply_population_change
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.env.population import PopulationSchedule, StaticPopulation
+from repro.exceptions import ConfigurationError
 from repro.obs import complete_span, get_registry
-from repro.obs import event as obs_event
 from repro.obs import monotonic as obs_monotonic
-from repro.obs import span as obs_span
 from repro.sim.engine import SimulationResult, _coerce_schedule
-from repro.sim.metrics import RegretTracker
 from repro.sim.pi_cache import SharedPiCache
-from repro.sim.trace import Trace
-from repro.types import IDLE
 from repro.util.mathx import exact_join_probabilities
 from repro.util.rng import RngFactory
-from repro.util.validation import check_integer
 
 __all__ = [
     "CountingSimulator",
+    "JoinCacheStats",
     "JoinDistributionCache",
     "JOIN_STRATEGIES",
     "PI_CACHE_MAX_ENTRIES",
@@ -85,11 +84,11 @@ PI_CACHE_MAX_ENTRIES = 512
 class JoinDistributionCache:
     """Content-addressed join-distribution lookup, all tiers in one place.
 
-    One instance serves one engine run context: the serial
-    :class:`CountingSimulator` owns one, and the batched engine
-    (:class:`repro.sim.batched.BatchedCountingSimulator`) owns one shared
-    by all of its lanes — which is exactly the cross-trial signature
-    deduplication the batched engine exists for.  Lookup order is the
+    Every :class:`CountingSimulator` owns one, and a batched run
+    (:class:`repro.sim.batched.BatchedCountingSimulator`) adopts its
+    first lane's cache for all of its lanes — which is exactly the
+    cross-trial signature deduplication batching exists for, and keeps a
+    one-lane run's cache warm across repeated runs.  Lookup order is the
     local dict (FIFO-bounded by :data:`PI_CACHE_MAX_ENTRIES`), then the
     optional cross-trial :class:`~repro.sim.pi_cache.SharedPiCache`
     (memory then disk tier), then the kernel itself; fresh results are
@@ -196,7 +195,42 @@ class JoinDistributionCache:
         self._local[key] = pi
 
 
-class CountingSimulator:
+class JoinCacheStats:
+    """Per-run ``pi_cache_*`` views of an engine's :class:`JoinDistributionCache`.
+
+    :attr:`pi_cache_local_hits` counts lookups served by the engine's own
+    cache, :attr:`pi_cache_shared_hits` those served by the shared
+    cache's memory tier, :attr:`pi_cache_disk_hits` those served by its
+    persistent :class:`~repro.store.pi_disk.DiskPiCache` tier (kernel
+    work paid for in an earlier process or session), and
+    :attr:`pi_cache_misses` the lookups that actually ran the kernel;
+    :attr:`pi_cache_hits` is their hit total.  All reset at each run.
+    """
+
+    _join_cache: JoinDistributionCache
+
+    @property
+    def pi_cache_local_hits(self) -> int:
+        return self._join_cache.local_hits
+
+    @property
+    def pi_cache_shared_hits(self) -> int:
+        return self._join_cache.shared_hits
+
+    @property
+    def pi_cache_disk_hits(self) -> int:
+        return self._join_cache.disk_hits
+
+    @property
+    def pi_cache_misses(self) -> int:
+        return self._join_cache.misses
+
+    @property
+    def pi_cache_hits(self) -> int:
+        return self._join_cache.hits
+
+
+class CountingSimulator(JoinCacheStats):
     """O(k)-per-round simulator for Algorithm Ant / trivial algorithm.
 
     Parameters mirror :class:`~repro.sim.engine.Simulator`; the initial
@@ -215,15 +249,9 @@ class CountingSimulator:
     signature — see that module for why stale reuse is structurally
     impossible).  Both knobs are pure performance choices: every
     combination draws from the identical action distribution, and cached
-    runs are bit-identical to uncached ones.
-    Cache effectiveness is reported by :attr:`pi_cache_local_hits`
-    (this simulator's own cache), :attr:`pi_cache_shared_hits` (served
-    by the shared cache's memory tier), :attr:`pi_cache_disk_hits`
-    (served by its persistent :class:`~repro.store.pi_disk.DiskPiCache`
-    tier — kernel work paid for in an earlier process or session) and
-    :attr:`pi_cache_misses` (kernel actually ran); :attr:`pi_cache_hits`
-    is their hit total (all reset at each :meth:`run`).
-    ``pi_cache=False`` disables every layer.
+    runs are bit-identical to uncached ones.  Cache effectiveness is
+    reported by the ``pi_cache_*`` properties (see
+    :class:`JoinCacheStats`).  ``pi_cache=False`` disables every layer.
 
     Raises
     ------
@@ -280,7 +308,6 @@ class CountingSimulator:
                 "population schedule exceeds the demand vector's colony size n "
                 "(n is the capacity; schedule sizes must be <= n)"
             )
-        self._n_current = int(self.population.population_at(0))
         self.k = self.schedule.k
         self._join_cache = JoinDistributionCache(
             enabled=self.pi_cache_enabled, shared=self.shared_pi_cache
@@ -294,292 +321,21 @@ class CountingSimulator:
             raise ConfigurationError("initial loads must be non-negative and sum to <= n")
         self._rng_factory = RngFactory(seed)
 
-    # ------------------------------------------------------------------
-    # Cache statistics delegate to the JoinDistributionCache so that the
-    # serial and batched engines report them identically.
-    @property
-    def pi_cache_local_hits(self) -> int:
-        """Lookups served by this simulator's own cache since the last :meth:`run`."""
-        return self._join_cache.local_hits
-
-    @property
-    def pi_cache_shared_hits(self) -> int:
-        """Lookups served by the shared cache's memory tier since the last :meth:`run`."""
-        return self._join_cache.shared_hits
-
-    @property
-    def pi_cache_disk_hits(self) -> int:
-        """Lookups served by the shared cache's disk tier since the last :meth:`run`."""
-        return self._join_cache.disk_hits
-
-    @property
-    def pi_cache_misses(self) -> int:
-        """Lookups that actually ran the kernel since the last :meth:`run`."""
-        return self._join_cache.misses
-
-    @property
-    def pi_cache_hits(self) -> int:
-        """Total cache hits (local + shared + disk) since the last :meth:`run`."""
-        return self._join_cache.hits
-
-    @property
-    def _pi_cache(self) -> dict[bytes, np.ndarray]:
-        return self._join_cache._local
-
-    # ------------------------------------------------------------------
     def run(
         self,
         rounds: int,
         *,
-        tracker: RegretTracker | None = None,
         trace_stride: int = 0,
         tail_window: int = 0,
         burn_in: int = 0,
     ) -> SimulationResult:
-        """Run ``rounds`` rounds; see :meth:`Simulator.run` for options."""
-        rounds = check_integer("rounds", rounds, minimum=1)
-        burn_in = check_integer("burn_in", burn_in, minimum=0)
-        if burn_in >= rounds:
-            raise ConfigurationError(
-                f"burn_in={burn_in} must be < rounds={rounds}; no rounds would "
-                "contribute to the cumulative metrics"
-            )
-        if tracker is None:
-            gamma = getattr(self.algorithm, "gamma", 1.0 / 16.0)
-            tracker = RegretTracker(gamma=float(gamma), burn_in=burn_in)
-        trace = Trace(stride=trace_stride or max(rounds, 1), tail_window=tail_window)
-        record_trace = trace_stride > 0 or tail_window > 0
-        rng = self._rng_factory.stream("counting")
-        self.feedback.reset()
-        # Rewind colony-size state so repeated run() calls start identically.
-        self._n_current = int(self.population.population_at(0))
-        # Rewind every cache counter (local, shared, disk, miss) so the
-        # stats of back-to-back run() calls cover exactly one run each;
-        # the cache *contents* stay warm (content-addressed, so reuse
-        # across runs is correct and bit-identical).
-        self._join_cache.reset_stats()
+        """Run ``rounds`` rounds as a one-lane batch; see :meth:`Simulator.run`
+        for the options.  The batch adopts this simulator's join cache, so
+        repeated runs stay warm and the ``pi_cache_*`` stats cover the
+        latest run."""
+        from repro.sim.batched import BatchedCountingSimulator
 
-        if isinstance(self.algorithm, AntAlgorithm):
-            loads_iter = self._run_ant(rounds, rng)
-        elif isinstance(self.algorithm, PreciseSigmoidAlgorithm):
-            loads_iter = self._run_precise_sigmoid(rounds, rng)
-        else:
-            loads_iter = self._run_trivial(rounds, rng)
-
-        loads = self.initial_loads
-        with obs_span(
-            "counting_run",
-            engine="counting",
-            algorithm=type(self.algorithm).__name__,
-            k=self.k,
-            rounds=rounds,
-        ):
-            for t, loads, switches in loads_iter:
-                d_now = self.schedule.demands_at(t).demands
-                r = tracker.observe(t, d_now, loads, switches)
-                if record_trace:
-                    trace.record(t, loads, r)
-        obs_event("pi_cache_stats", engine="counting", **self._join_cache.stats())
-
-        return SimulationResult(
-            metrics=tracker.finalize(),
-            trace=trace,
-            final_assignment=self._loads_to_assignment(loads),
-            rounds=rounds,
-            n=self.n,
-            k=self.k,
-            n_current=self._n_current,
+        (result,) = BatchedCountingSimulator([self]).run(
+            rounds, trace_stride=trace_stride, tail_window=tail_window, burn_in=burn_in
         )
-
-    # ------------------------------------------------------------------
-    def _run_ant(self, rounds: int, rng: np.random.Generator):
-        """Yield ``(t, loads, switches)`` for Algorithm Ant phases."""
-        alg: AntAlgorithm = self.algorithm  # type: ignore[assignment]
-        W = self.initial_loads.astype(np.int64).copy()
-        # Phase-start loads and sample-1 probabilities persist across the
-        # two rounds of a phase.
-        W_phase = W.copy()
-        p1 = np.zeros(self.k, dtype=np.float64)
-        for t in range(1, rounds + 1):
-            d_prev = self.schedule.demands_at(t - 1).demands
-            if t % 2 == 1:
-                W, _ = self._apply_population(t, W, rng)
-                # Round 1: sample-1 marginals, temporary pauses.
-                W_phase = W.copy()
-                p1 = self.feedback.lack_probabilities(d_prev - W)
-                paused = rng.binomial(W_phase, alg.pause_probability)
-                W = W_phase - paused
-                self._check(W)
-                yield t, W.copy(), int(paused.sum())
-            else:
-                # Round 2: sample-2 marginals (of thinned load), decisions.
-                p2 = self.feedback.lack_probabilities(d_prev - W)
-                # Permanent leaves among the W_phase phase-start workers.
-                q_leave = (1.0 - p1) * (1.0 - p2) * alg.leave_probability
-                leavers = rng.binomial(W_phase, q_leave)
-                # Joins by idle-at-phase-start ants.
-                idle = self._n_current - int(W_phase.sum())
-                joins = self._sample_joins(idle, p1 * p2, rng)
-                prev_paused = W_phase - W  # ants that resume this round
-                W = W_phase - leavers + joins
-                self._check(W)
-                # Switches: resumed pauses counted when they paused; here
-                # count leavers + joiners + resumers returning to work.
-                yield t, W.copy(), int(leavers.sum() + joins.sum() + prev_paused.sum())
-
-    def _run_precise_sigmoid(self, rounds: int, rng: np.random.Generator):
-        """Yield ``(t, loads, switches)`` for Algorithm Precise Sigmoid.
-
-        Within a phase, the loads are piecewise constant: ``W_phase``
-        during the sample-1 window (assignments held), ``W_mid`` after
-        the round-``m`` pause, and ``W_next`` after the end-of-phase
-        decision.  Each ant's two *medians* are therefore i.i.d.
-        Bernoulli with the binomially amplified probabilities
-        ``P_med = P[Binom(m, s(lambda*Delta)) > m/2]``, which makes the
-        phase-level colony transition identical in law to one Algorithm
-        Ant phase at step size ``gamma'`` — exactly the reduction the
-        Theorem 3.2 proof performs.
-        """
-        alg: PreciseSigmoidAlgorithm = self.algorithm  # type: ignore[assignment]
-        m = alg.m
-        W = self.initial_loads.astype(np.int64).copy()
-        W_phase = W.copy()
-        P1 = np.zeros(self.k, dtype=np.float64)
-        majority = m // 2  # median LACK iff lack-count > m/2, i.e. >= majority+1
-        for t in range(1, rounds + 1):
-            r = t % (2 * m)
-            d_prev = self.schedule.demands_at(t - 1).demands
-            if r == 1:
-                W, _ = self._apply_population(t, W, rng)
-                # Sample-1 window opens: loads frozen at W_phase.
-                W_phase = W.copy()
-                p1 = self.feedback.lack_probabilities(d_prev - W_phase)
-                P1 = stats.binom.sf(majority, m, p1)
-            if r == m:
-                # End of window 1: temporary pauses thin the load.
-                paused = rng.binomial(W_phase, alg.pause_probability)
-                W = W_phase - paused
-                self._check(W)
-                yield t, W.copy(), int(paused.sum())
-            elif r == 0:
-                # End of phase: medians of window 2, Ant-style decisions.
-                p2 = self.feedback.lack_probabilities(d_prev - W)
-                P2 = stats.binom.sf(majority, m, p2)
-                q_leave = (1.0 - P1) * (1.0 - P2) * alg.leave_probability
-                leavers = rng.binomial(W_phase, q_leave)
-                idle = self._n_current - int(W_phase.sum())
-                joins = self._sample_joins(idle, P1 * P2, rng)
-                resumed = W_phase - W
-                W = W_phase - leavers + joins
-                self._check(W)
-                yield t, W.copy(), int(leavers.sum() + joins.sum() + resumed.sum())
-            else:
-                # Hold rounds: loads unchanged.
-                yield t, W.copy(), 0
-
-    def _run_trivial(self, rounds: int, rng: np.random.Generator):
-        """Yield ``(t, loads, switches)`` for the trivial algorithm."""
-        alg: TrivialAlgorithm = self.algorithm  # type: ignore[assignment]
-        W = self.initial_loads.astype(np.int64).copy()
-        for t in range(1, rounds + 1):
-            W, _ = self._apply_population(t, W, rng)
-            d_prev = self.schedule.demands_at(t - 1).demands
-            p = self.feedback.lack_probabilities(d_prev - W)
-            leavers = rng.binomial(W, (1.0 - p) * alg.leave_probability)
-            idle = self._n_current - int(W.sum())
-            # Rate-limited variant: only a q-thinned subset of idle ants
-            # attempts to join this round.
-            attempters = (
-                idle
-                if alg.join_probability >= 1.0
-                else int(rng.binomial(idle, alg.join_probability))
-            )
-            joins = self._sample_joins(attempters, p, rng)
-            W = W - leavers + joins
-            self._check(W)
-            yield t, W.copy(), int(leavers.sum() + joins.sum())
-
-    # ------------------------------------------------------------------
-    def _sample_joins(
-        self, idle: int, underload_probs: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Joint join counts for ``idle`` exchangeable idle ants.
-
-        Each ant marks task ``j`` w.p. ``underload_probs[j]`` independently
-        and joins a uniform marked task (idle if none).  The default draws
-        one multinomial over the exact action distribution (the quadrature
-        kernel, cached by signature) for any ``k``;
-        ``join_strategy="per_ant"`` samples every ant (identical law, kept
-        as a cross-check).
-        """
-        if idle <= 0:
-            return np.zeros(self.k, dtype=np.int64)
-        u = np.clip(underload_probs, 0.0, 1.0)
-        if self.join_strategy == "per_ant":
-            return self._sample_joins_per_ant(idle, u, rng)
-        pi = self._join_distribution(u)
-        counts = rng.multinomial(idle, pi)
-        return counts[: self.k].astype(np.int64)
-
-    def _join_distribution(self, u: np.ndarray) -> np.ndarray:
-        """The exact action distribution for mark probabilities ``u``.
-
-        Content-addressed caching: the key is the byte image of ``u``, so
-        a round whose deficits (and hence feedback signature) did not
-        change reuses the previously computed distribution, while any
-        demand, load, or population change produces a new key — stale
-        reuse is structurally impossible.  All tier logic lives in
-        :class:`JoinDistributionCache` (shared with the batched engine).
-        """
-        return self._join_cache.distribution(u)
-
-    def _sample_joins_per_ant(
-        self, idle: int, u: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Exact O(idle * k) per-ant simulation of the join step."""
-        marks = rng.random((idle, self.k)) < u[np.newaxis, :]
-        counts = np.zeros(self.k, dtype=np.int64)
-        row_counts = marks.sum(axis=1)
-        rows = np.nonzero(row_counts > 0)[0]
-        if rows.size:
-            r = rng.integers(0, row_counts[rows])
-            csum = np.cumsum(marks[rows], axis=1)
-            chosen = np.argmax(csum > r[:, np.newaxis], axis=1)
-            counts += np.bincount(chosen, minlength=self.k).astype(np.int64)
-        return counts
-
-    def _apply_population(
-        self, t: int, W: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, int]:
-        """Resize the colony to the scheduled size at round ``t``.
-
-        Deaths strike uniformly at random (hypergeometric across tasks
-        and the idle pool); arrivals join the idle pool.  Returns the
-        adjusted loads and the new idle count.
-        """
-        n_new = int(self.population.population_at(t))
-        idle = self._n_current - int(W.sum())
-        if n_new != self._n_current:
-            W, idle = apply_population_change(W, idle, n_new, rng)
-            self._n_current = n_new
-        return W, idle
-
-    def _check(self, W: np.ndarray) -> None:
-        if np.any(W < 0) or int(W.sum()) > self._n_current:
-            raise SimulationError(
-                f"load vector out of range: {W} (living ants={self._n_current})"
-            )
-
-    def _loads_to_assignment(self, loads: np.ndarray) -> np.ndarray:
-        """Materialize *an* assignment consistent with the final loads.
-
-        Sized by the *living* colony (``n_current``), not the capacity
-        ``n``: after a population shrink, dead ants must not show up as
-        extra IDLE workers.
-        """
-        out = np.full(self._n_current, IDLE, dtype=np.int64)
-        pos = 0
-        for j, w in enumerate(loads):
-            out[pos : pos + int(w)] = j
-            pos += int(w)
-        return out
+        return result

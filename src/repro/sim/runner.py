@@ -3,12 +3,16 @@
 The theorems hold "w.h.p." / in expectation, so every experiment runs
 multiple independent trials and reports mean +/- spread.  Trials get
 independent child seeds from one root ``SeedSequence`` (reproducible and
-order-independent), and can optionally be farmed out to worker processes
-(factories must then be picklable — module-level functions or partials).
+order-independent).  Counting-engine trials run as batches of lanes by
+default (:mod:`repro.sim.batched`), bit-identical to running each trial
+alone; any factory's trials can instead be farmed out to worker
+processes (factories must then be picklable — module-level functions or
+partials).
 """
 
 from __future__ import annotations
 
+import itertools
 import pickle
 
 from collections.abc import Callable, Iterable, Mapping
@@ -19,6 +23,8 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.sim.batched import DEFAULT_BATCH, BatchedCountingSimulator
+from repro.sim.counting import CountingSimulator
 from repro.sim.engine import SimulationResult
 from repro.util.validation import check_integer
 
@@ -104,27 +110,34 @@ def _probe_picklable(factory: SimulatorFactory, processes: int) -> None:
         ) from exc
 
 
-def _run_batched(
+def _run_in_process(
     factory: SimulatorFactory,
     trial_seeds: list[int],
     rounds: int,
     run_kwargs: dict,
-    batch: int,
-    array_backend: str,
+    batch: int | None,
 ) -> list[SimulationResult]:
-    """Run trials through the batched engine, ``batch`` lanes at a time.
+    """Run trials in this process, ``batch`` counting lanes at a time.
 
-    Chunking preserves trial order, and each trial's result is
-    bit-identical to the serial path because every lane keeps its own
-    seed-derived generator (see :mod:`repro.sim.batched`).
+    ``batch=None`` is the default path: counting factories run in chunks
+    of ``min(trials, DEFAULT_BATCH)`` lanes, any other engine one trial
+    at a time (as ``batch=0`` runs every engine).  Chunking preserves
+    trial order, and each trial's result is bit-identical to running it
+    alone because every lane keeps its own seed-derived generator (see
+    :mod:`repro.sim.batched`).
     """
-    from repro.sim.batched import BatchedCountingSimulator
-
+    sims = (factory(s) for s in trial_seeds)
+    first = next(sims)
+    sims = itertools.chain([first], sims)
+    if batch is None:
+        counting = isinstance(first, CountingSimulator)
+        batch = min(len(trial_seeds), DEFAULT_BATCH) if counting else 0
+    if batch == 0:
+        return [sim.run(rounds, **run_kwargs) for sim in sims]
     results: list[SimulationResult] = []
-    for start in range(0, len(trial_seeds), batch):
-        lanes = [factory(s) for s in trial_seeds[start : start + batch]]
-        engine = BatchedCountingSimulator(lanes, backend=array_backend)
-        results.extend(engine.run(rounds, **run_kwargs))
+    for _ in range(0, len(trial_seeds), batch):
+        lanes = list(itertools.islice(sims, batch))
+        results.extend(BatchedCountingSimulator(lanes).run(rounds, **run_kwargs))
     return results
 
 
@@ -138,8 +151,7 @@ def run_trials(
     gamma_star: float | None = None,
     total_demand: float | None = None,
     processes: int = 0,
-    batch: int = 0,
-    array_backend: str = "numpy",
+    batch: int | None = None,
     keep_results: bool = True,
     params: Mapping[str, Any] | None = None,
     **run_kwargs: Any,
@@ -158,16 +170,16 @@ def run_trials(
     gamma_star, total_demand:
         When both given, per-trial closeness is computed.
     processes:
-        Worker processes (0 = run in-process, sequentially).
+        Worker processes, each running one trial at a time (0 = run
+        in-process).
     batch:
-        When > 0, advance trials through
-        :class:`~repro.sim.batched.BatchedCountingSimulator` in chunks
-        of up to ``batch`` lanes (counting-engine factories only;
-        results stay bit-identical to ``batch=0``).  Mutually exclusive
-        with ``processes`` — pick one parallelism axis.
-    array_backend:
-        Array namespace for the batched math (see
-        :mod:`repro.util.array_api`); only consulted when ``batch > 0``.
+        Lanes per :class:`~repro.sim.batched.BatchedCountingSimulator`
+        chunk.  ``None`` (default) batches counting-engine trials in
+        chunks of ``min(trials, DEFAULT_BATCH)`` lanes and runs any
+        other engine one trial at a time — or, with ``processes``, one
+        trial per worker.  ``0`` runs one trial at a time; ``> 0`` sets
+        the chunk size (counting-engine factories only) and excludes
+        ``processes``.  Results are bit-identical at every setting.
     keep_results:
         Keep every :class:`SimulationResult` (set False for big sweeps).
     run_kwargs:
@@ -176,8 +188,9 @@ def run_trials(
     """
     trials = check_integer("trials", trials, minimum=1)
     rounds = check_integer("rounds", rounds, minimum=1)
-    batch = check_integer("batch", batch, minimum=0)
-    if batch > 0 and processes > 0:
+    if batch is not None:
+        batch = check_integer("batch", batch, minimum=0)
+    if batch and processes > 0:
         raise ConfigurationError(
             f"batch={batch} and processes={processes} are mutually exclusive: "
             "batched lanes already amortize the per-trial overhead in-process, "
@@ -187,11 +200,7 @@ def run_trials(
     root = np.random.SeedSequence(seed)
     trial_seeds = [int(s.generate_state(1)[0]) for s in root.spawn(trials)]
 
-    if batch > 0:
-        results = _run_batched(
-            factory, trial_seeds, rounds, dict(run_kwargs), batch, array_backend
-        )
-    elif processes > 0:
+    if processes > 0:
         _probe_picklable(factory, processes)
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(
@@ -204,7 +213,7 @@ def run_trials(
                 )
             )
     else:
-        results = [_run_one(factory, s, rounds, dict(run_kwargs)) for s in trial_seeds]
+        results = _run_in_process(factory, trial_seeds, rounds, dict(run_kwargs), batch)
 
     avg = np.array([r.metrics.average_regret for r in results])
     close = None

@@ -9,13 +9,6 @@ from repro.util.mathx import (
     exact_join_probabilities,
     enumerate_subset_join_probabilities,
 )
-from repro.util.array_api import (
-    DEFAULT_ARRAY_BACKEND,
-    available_array_backends,
-    get_namespace,
-    register_array_backend,
-    unregister_array_backend,
-)
 from repro.util.rng import RngFactory, as_generator, spawn_generators
 from repro.util.rng_block import BinomialBlockSampler
 from repro.util.validation import (
@@ -33,11 +26,6 @@ __all__ = [
     "sigmoid_lack_probability",
     "exact_join_probabilities",
     "enumerate_subset_join_probabilities",
-    "DEFAULT_ARRAY_BACKEND",
-    "available_array_backends",
-    "get_namespace",
-    "register_array_backend",
-    "unregister_array_backend",
     "RngFactory",
     "as_generator",
     "spawn_generators",

@@ -4,9 +4,9 @@
 broadcasting machinery, which costs ~10-15 microseconds per call *before
 any sampling happens* (argument coercion, constraint checks, iterator
 setup) — independent of the array length.  The batched counting engine
-(:mod:`repro.sim.batched`) makes one such call per lane per round, so at
-B = 16 lanes this fixed overhead alone caps the speedup over the serial
-engine well below its target.
+(:mod:`repro.sim.batched`) would make one such call per lane per draw,
+so at B = 16 lanes this fixed overhead alone would cap the speedup over
+one-lane runs well below its target.
 
 :class:`BinomialBlockSampler` removes it without changing a single drawn
 value.  In the parameter regime the engine actually inhabits
@@ -177,10 +177,19 @@ class BinomialBlockSampler:
             # feedback makes one or two values the overwhelmingly common
             # case; probe that before paying for a full np.unique.
             v0 = float(p.ravel()[int(np.argmax(active))])
+            if bool(np.all((p == v0) | (n == 0))):
+                # One value wherever a draw happens: exactly the scalar
+                # draw (n == 0 elements consume nothing either way).
+                return self.draw(rngs, n, v0)
             if bool(np.all((p == v0) | ~active)):
                 values = [v0]
             else:
-                values = np.unique(p[active]).tolist()
+                p_active = p[active]
+                # A short prefix with too many distinct values already
+                # decides the fallback, without sorting the whole block.
+                if np.unique(p_active[: 4 * MAX_DISTINCT_P]).size > MAX_DISTINCT_P:
+                    return None
+                values = np.unique(p_active).tolist()
                 if len(values) > MAX_DISTINCT_P:
                     return None
             qn = np.ones((B, k), dtype=np.float64)
@@ -218,40 +227,46 @@ class BinomialBlockSampler:
                     blocks.append(None)
 
         X = np.zeros((B, k), dtype=np.int64)
-        live = np.flatnonzero(active & (U > qn))
+        # Inactive elements hold U = 0 and qn >= 0, so they never pass.
+        live = np.flatnonzero(U > qn)
         resets: list[int] = []
         if live.size:
             Uf = U.ravel()[live]
             pxf = qn.ravel()[live]
-            nf = n.ravel()[live].astype(np.float64)
+            # n - X + 1 is an exact integer in float64 in either order.
+            nf1 = n.ravel()[live].astype(np.float64) + 1.0
             pf = p if scalar_p else p.ravel()[live]
             qf = 1.0 - pf
-            boundf = bound.ravel()[live]
-            Xf = np.zeros(live.size, dtype=np.int64)
+            bound_flat = bound.ravel()
+            # Every live element has taken the same number of steps, so
+            # the candidate value x is one scalar for all of them.
+            bound_min = int(bound_flat[live].min())
+            x = 0
             x_flat = X.ravel()
             while live.size:
-                Xf += 1
-                over = Xf > boundf
-                if over.any():
-                    # Astronomically rare (U within float-sum slack of
-                    # 1): the C sampler restarts the element on a fresh
-                    # uniform.  Finish those lanes scalarly below.
-                    resets.extend(live[over].tolist())
+                x += 1
+                cont = None
+                if x > bound_min:
+                    over = x > bound_flat[live]
+                    if over.any():
+                        # Astronomically rare (U within float-sum slack
+                        # of 1): the C sampler restarts the element on a
+                        # fresh uniform.  Finish those lanes scalarly
+                        # below.
+                        resets.extend(live[over].tolist())
+                        cont = ~over
                 Uf -= pxf
-                pxf = ((nf - Xf + 1) * pf * pxf) / (Xf * qf)
-                cont = (Uf > pxf) & ~over
+                pxf = ((nf1 - x) * pf * pxf) / (x * qf)
+                cont = Uf > pxf if cont is None else (Uf > pxf) & cont
                 if not cont.all():
-                    done = ~cont
-                    x_flat[live[done]] = Xf[done]
+                    x_flat[live[~cont]] = x
                     live = live[cont]
                     Uf = Uf[cont]
                     pxf = pxf[cont]
-                    nf = nf[cont]
+                    nf1 = nf1[cont]
                     if not scalar_p:
                         pf = pf[cont]
                         qf = qf[cont]
-                    boundf = boundf[cont]
-                    Xf = Xf[cont]
             X = x_flat.reshape(B, k)
 
         # One replay per lane, from its *first* reset element: the scalar

@@ -1,16 +1,18 @@
-"""Batched-vs-serial equivalence: bit-identity per lane, same law overall.
+"""Batched-vs-scalar equivalence: bit-identity per lane, same law overall.
 
-The batched engine's contract is strictly stronger than distributional
+The counting engine's contract is strictly stronger than distributional
 bisimulation: trial i of a :class:`BatchedCountingSimulator` run must be
-**bit-identical** to trial i of the serial :class:`CountingSimulator` —
-same loads every traced round, same regret sequence, same metrics, same
-final assignment — because both consume the identical per-trial RNG
-substream with identical call arguments.  The suite pins that for every
-supported algorithm (ant / precise sigmoid / trivial, sigmoid and
-exact-binary feedback, static and stepped populations, both join
-strategies), and cross-checks the batch-level action distribution
-against the per-ant Monte Carlo oracle at k = 64 in total-variation
-distance, reusing the cross-engine suite's oracle.
+**bit-identical** to the same trial run through the scalar reference
+round programs (``tests/sim/serial_reference.py``) — same loads every
+traced round, same regret sequence, same metrics, same final assignment —
+because both consume the identical per-trial RNG substream with
+identical call arguments.  The suite pins that at B = 1 (the path every
+single ``CountingSimulator.run`` takes) and B = 5 for every supported
+algorithm (ant / precise sigmoid / trivial, sigmoid and exact-binary
+feedback, static and stepped populations, both join strategies), and
+cross-checks the batch-level action distribution against the per-ant
+Monte Carlo oracle at k = 64 in total-variation distance, reusing the
+cross-engine suite's oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.sim.batched import DEFAULT_BATCH, BatchedCountingSimulator
 from repro.sim.counting import CountingSimulator
 from repro.util.mathx import exact_join_probabilities
 
+from tests.sim.serial_reference import run_serial
 from tests.sim.test_cross_engine_equivalence import (
     per_ant_action_distribution,
     tv_distance,
@@ -102,19 +105,41 @@ class TestBitIdentity:
     def test_every_lane_matches_its_serial_trial(self, name):
         factory = CONFIGS[name]
         run_kwargs = dict(trace_stride=7, tail_window=13, burn_in=20)
-        serial = [factory(s).run(ROUNDS, **run_kwargs) for s in SEEDS]
-        batched = BatchedCountingSimulator([factory(s) for s in SEEDS]).run(
-            ROUNDS, **run_kwargs
-        )
-        assert len(batched) == len(SEEDS)
-        for lane_serial, lane_batched in zip(serial, batched):
-            _assert_results_bit_identical(lane_serial, lane_batched)
+        serial = [run_serial(factory(s), ROUNDS, **run_kwargs) for s in SEEDS]
+        for batch in (1, len(SEEDS)):
+            batched = []
+            for start in range(0, len(SEEDS), batch):
+                lanes = [factory(s) for s in SEEDS[start : start + batch]]
+                batched += BatchedCountingSimulator(lanes).run(ROUNDS, **run_kwargs)
+            assert len(batched) == len(SEEDS)
+            for lane_serial, lane_batched in zip(serial, batched):
+                _assert_results_bit_identical(lane_serial, lane_batched)
 
     def test_single_lane_batch_matches(self):
+        # CountingSimulator.run is the one-lane batch.
         factory = CONFIGS["ant"]
-        serial = factory(17).run(120)
+        serial = run_serial(factory(17), 120)
         (batched,) = BatchedCountingSimulator([factory(17)]).run(120)
         _assert_results_bit_identical(serial, batched)
+        _assert_results_bit_identical(serial, factory(17).run(120))
+
+    @pytest.mark.parametrize("name", ["ant_step_population", "precise_sigmoid"])
+    def test_small_tracker_blocks_match(self, name, monkeypatch):
+        # Many evaluation blocks, cut by the round limit and by the row
+        # limit, one of them straddling the burn-in: the folded totals
+        # must not depend on where the blocks fall.
+        import repro.sim.batched as batched_mod
+
+        monkeypatch.setattr(batched_mod, "TRACKER_BLOCK_ROUNDS", 7)
+        monkeypatch.setattr(batched_mod, "TRACKER_BLOCK_ENTRIES", 3 * 2 * K)
+        factory = CONFIGS[name]
+        run_kwargs = dict(trace_stride=5, burn_in=17)
+        serial = [run_serial(factory(s), ROUNDS, **run_kwargs) for s in SEEDS[:2]]
+        batched = BatchedCountingSimulator([factory(s) for s in SEEDS[:2]]).run(
+            ROUNDS, **run_kwargs
+        )
+        for lane_serial, lane_batched in zip(serial, batched):
+            _assert_results_bit_identical(lane_serial, lane_batched)
 
     def test_repeated_runs_are_reproducible(self):
         # Fresh lanes each time: the engine consumes the lanes' streams,
@@ -206,9 +231,16 @@ class TestValidation:
             BatchedCountingSimulator(lanes)
 
     def test_rejects_unknown_backend(self):
-        factory = CONFIGS["ant"]
+        # numpy is the only array backend; the spec engine that still
+        # carries the param (for digest compatibility) rejects the rest.
+        from repro.scenario.engines import make_engine
+
+        demand, fb = _components()
+        components = dict(algorithm=AntAlgorithm(gamma=0.05), demand=demand, feedback=fb)
         with pytest.raises(ConfigurationError, match="unknown array backend"):
-            BatchedCountingSimulator([factory(0)], backend="jax")
+            make_engine("counting_batched", backend="jax", **components)
+        lane = make_engine("counting_batched", backend="numpy", **components)
+        assert isinstance(lane, CountingSimulator)
 
     def test_rejects_burn_in_swallowing_the_run(self):
         factory = CONFIGS["ant"]

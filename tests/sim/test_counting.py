@@ -253,16 +253,16 @@ class TestPopulationReporting:
         # Stale _n_current from the first run (stuck at the shrunk size)
         # would force a spurious "resize" back to 8000 at round 1.
         sim, _ = self._shrunk_run()
-        import repro.sim.counting as counting_mod
+        import repro.sim.batched as batched_mod  # home of the round programs
 
         calls: list[int] = []
-        real = counting_mod.apply_population_change
+        real = batched_mod.apply_population_change
 
         def spy(W, idle, n_new, rng):
             calls.append(n_new)
             return real(W, idle, n_new, rng)
 
-        monkeypatch.setattr(counting_mod, "apply_population_change", spy)
+        monkeypatch.setattr(batched_mod, "apply_population_change", spy)
         sim.run(50)
         assert calls == []
 

@@ -88,7 +88,7 @@ class TestCacheReuse:
         monkeypatch.setattr(counting_mod, "PI_CACHE_MAX_ENTRIES", 3)
         sim = _binary_sim()
         sim.run(400)
-        assert len(sim._pi_cache) <= 3
+        assert len(sim._join_cache._local) <= 3
 
 
 class TestCacheInvalidation:
@@ -106,12 +106,12 @@ class TestCacheInvalidation:
         d2 = np.array([400, 300, 200, 100])
         loads = np.array([260, 260, 240, 240])
         u1 = feedback.lack_probabilities(d1 - loads)
-        sim._join_distribution(u1)
-        sim._join_distribution(u1)  # unchanged deficits: served from cache
+        sim._join_cache.distribution(u1)
+        sim._join_cache.distribution(u1)  # unchanged deficits: served from cache
         assert counter.calls == 1
         u2 = feedback.lack_probabilities(d2 - loads)  # demand changed
         assert not np.array_equal(u1, u2)
-        sim._join_distribution(u2)
+        sim._join_cache.distribution(u2)
         assert counter.calls == 2
 
     def test_demand_step_never_served_stale(self):
@@ -187,7 +187,7 @@ class TestCacheTransparency:
         fresh = _binary_sim().run(120, trace_stride=1).trace.loads
         warmed_sim = _binary_sim()
         for p in (0.1, 0.5, 0.9):
-            warmed_sim._join_distribution(np.full(4, p))
+            warmed_sim._join_cache.distribution(np.full(4, p))
         warmed = warmed_sim.run(120, trace_stride=1).trace.loads
         assert np.array_equal(fresh, warmed)
 

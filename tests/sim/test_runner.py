@@ -118,6 +118,31 @@ class TestBatchedDispatch:
         with pytest.raises(ConfigurationError, match="batch"):
             run_trials(_counting_factory, rounds=10, trials=2, seed=0, batch=-1)
 
+    def test_default_batches_counting_trials_sixteen_at_a_time(self, monkeypatch):
+        import repro.sim.runner as runner_mod
+        from repro.sim.batched import BatchedCountingSimulator
+
+        chunks: list[int] = []
+
+        class Recording(BatchedCountingSimulator):
+            def __init__(self, simulators):
+                super().__init__(simulators)
+                chunks.append(self.batch)
+
+        monkeypatch.setattr(runner_mod, "BatchedCountingSimulator", Recording)
+        default = run_trials(_counting_factory, rounds=40, trials=20, seed=5)
+        assert chunks == [16, 4]
+        one_at_a_time = run_trials(_counting_factory, rounds=40, trials=20, seed=5, batch=0)
+        assert chunks == [16, 4]
+        np.testing.assert_array_equal(default.average_regrets, one_at_a_time.average_regrets)
+
+    def test_default_batch_yields_to_processes(self):
+        # parallel workers run one trial each; the default must not
+        # collide with them the way an explicit batch does.
+        parallel = run_trials(_counting_factory, rounds=40, trials=3, seed=2, processes=2)
+        batched = run_trials(_counting_factory, rounds=40, trials=3, seed=2)
+        np.testing.assert_array_equal(parallel.average_regrets, batched.average_regrets)
+
 
 class TestPicklableProbe:
     """Unpicklable factories fail fast with a registry-factory hint, not
