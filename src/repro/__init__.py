@@ -138,7 +138,6 @@ from repro.sim import (
     RunMetrics,
     Trace,
     run_trials,
-    sweep,
     TrialSummary,
     SweepResult,
 )
@@ -225,7 +224,6 @@ __all__ = [
     "RunMetrics",
     "Trace",
     "run_trials",
-    "sweep",
     "TrialSummary",
     "SweepResult",
 ]

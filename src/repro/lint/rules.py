@@ -468,11 +468,12 @@ class ObsIsolationRule(Rule):
     on, off, or disabled mid-run).  Two enforcement surfaces:
 
     * importing ``repro.obs`` at all is banned inside the modules that
-      *construct* digests/manifests/records (the whole store layer plus
-      the grid/request/scenario record builders) — instrumentation of
-      those flows lives in their callers;
+      *construct* digests/manifests/records (the whole store layer, the
+      point-job module ``repro.scenario.runner`` — the one record
+      builder — and the grid/request identity modules) —
+      instrumentation of those flows lives in their callers;
     * everywhere else, passing an obs-imported name into a digest/record
-      sink call (``write_record``, ``point_record``, ``request_record``,
+      sink call (``write_record``, ``point_record``,
       ``sweep_point_digest``, ``digest_hex``) is flagged.
     """
 
@@ -493,7 +494,6 @@ class ObsIsolationRule(Rule):
         {
             "write_record",
             "point_record",
-            "request_record",
             "sweep_point_digest",
             "digest_hex",
         }

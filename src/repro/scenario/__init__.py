@@ -37,7 +37,7 @@ from repro.scenario.spec import (
     ScenarioSpec,
 )
 from repro.scenario.runner import (
-    SEED_MODES,
+    PointJob,
     ScenarioFactory,
     run_scenario,
     sweep_point_digest,
@@ -46,7 +46,7 @@ from repro.scenario.runner import (
 )
 
 __all__ = [
-    "SEED_MODES",
+    "PointJob",
     "sweep_point_digest",
     "sweep_point_seed",
     "AlgorithmSpec",

@@ -31,16 +31,22 @@ spec's JSON, the swept parameter and value, horizon, trial count, run
 params, and the point's seed root.  Re-invoking the same sweep skips
 committed points and returns aggregates *bit-identical* to an
 uninterrupted run (float64 arrays round-trip exactly); only missing
-points execute.  Point seed roots are themselves digest-derived by
-default (``seed_mode="digest"``): a pure function of the point's own
-identity, so inserting a value into a sweep cannot silently reshuffle
-the seeds — and therefore the results — of existing points.
-``seed_mode="index"`` restores the legacy index-based derivation.
+points execute.  Point seed roots are themselves digest-derived: a
+pure function of the point's own identity, so inserting a value into a
+sweep cannot silently reshuffle the seeds — and therefore the results —
+of existing points.
+
+One sweep point is a :class:`PointJob`: its identity (derived spec, seed
+root, digest, label), its computation and its record.  Sweeps, grid
+workers (:mod:`repro.sched`) and the scenario service
+(:mod:`repro.serve`) all run points through it, so a record's bytes do
+not depend on which path computed it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -51,29 +57,33 @@ from repro.sim.batched import DEFAULT_BATCH
 from repro.sim.engine import SimulationResult
 from repro.sim.pi_cache import SharedPiCache
 from repro.sim.runner import SweepResult, TrialSummary, run_trials
-from repro.store import NUMERICS_VERSION, STORE_FORMAT, ResultStore, digest_hex, seed_from_digest
-from repro.store.records import Record
+from repro.store import (
+    NUMERICS_VERSION,
+    STORE_FORMAT,
+    ResultStore,
+    canonical_json,
+    digest_hex,
+    seed_from_digest,
+)
 from repro.util.validation import check_integer
 
 from repro.scenario.engines import BATCHED_ENGINES
 from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
+    "PointJob",
     "ScenarioFactory",
     "run_scenario",
     "sweep_scenario",
     "sweep_point_digest",
     "sweep_point_seed",
     "resolve_batch",
-    "SEED_MODES",
 ]
 
-#: How sweep-point seed roots are derived.  ``"digest"`` (default) folds
-#: the point's content digest into the root seed — insertion-stable and
-#: required for sound resume; ``"index"`` is the legacy
-#: ``SeedSequence(seed).spawn(len(values))`` derivation kept for
-#: reproducing pre-store sweep results.
-SEED_MODES = ("digest", "index")
+#: Digest-key form of the empty coordinate (a bare-spec service request):
+#: real sweep coordinates are dotted component paths, so the empty
+#: parameter cannot collide with one.
+EMPTY_COORDINATE: tuple[str, None] = ("", None)
 
 
 @dataclass(frozen=True)
@@ -200,6 +210,8 @@ def run_scenario(
     )
 
 
+
+
 def _coordinate_key(parameter: str | Sequence[str], value: Any) -> tuple[Any, Any]:
     """Canonical ``(parameter, value)`` digest-key forms of a coordinate.
 
@@ -278,11 +290,11 @@ def sweep_point_seed(
     """Insertion-stable seed root: a function of the point, not its index.
 
     Deliberately excludes ``rounds`` / ``trials`` / run params and the
-    numerics version: like the index derivation, the seed root identifies
-    the *point*, and the trial runner spawns per-trial seeds beneath it —
-    so extending a sweep's horizon or trial count later, or changing the
-    engine's numerics, keeps the point on the same stream family.
-    Accepts the same scalar-or-sequence coordinate forms as
+    numerics version: the seed root identifies the *point*, and the
+    trial runner spawns per-trial seeds beneath it — so extending a
+    sweep's horizon or trial count later, or changing the engine's
+    numerics, keeps the point on the same stream family.  Accepts the
+    same scalar-or-sequence coordinate forms as
     :func:`sweep_point_digest`.
     """
     parameter, value = _coordinate_key(parameter, value)
@@ -296,53 +308,153 @@ def sweep_point_seed(
     return seed_from_digest(digest_hex(seed_key), root_seed)
 
 
-def _summary_record(
-    summary: TrialSummary, parameter: str, value: Any
-) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-    """``(arrays, meta)`` persisting a point summary (results excluded)."""
-    arrays: dict[str, np.ndarray] = {
-        "average_regrets": summary.average_regrets,
-        "max_abs_deficits": summary.max_abs_deficits,
-        "switches_per_round": summary.switches_per_round,
-    }
-    if summary.closenesses is not None:
-        arrays["closenesses"] = summary.closenesses
-    # Deliberately no wall-clock field (RPR002): record bytes must be a
-    # pure function of the point's content so sweep stores byte-compare
-    # — the same guarantee sched's point_record already made.
-    meta = {
-        "kind": "sweep_point",
-        "label": summary.label,
-        "trials": summary.trials,
-        "rounds": summary.rounds,
-        "parameter": parameter,
-        "value": value,
-        "repro_version": __version__,
-    }
-    return arrays, meta
+@dataclass(frozen=True)
+class PointJob:
+    """One sweep point: its identity, its computation and its record.
 
+    Built from a base spec, an ordered coordinate of ``(dotted path,
+    value)`` pairs (empty for a bare-spec service request), the horizon,
+    the trial count and the merged run params.  Construction
+    canonicalizes the coordinate through canonical JSON — a tuple value
+    and the list a grid axis holds are one coordinate — and derives,
+    once, the point's spec, seed root (:func:`sweep_point_seed`), store
+    digest (:func:`sweep_point_digest`) and label.  ``sweep_scenario``,
+    grid workers and the scenario service all compute, commit and read
+    points through a job, so a record's bytes never depend on which path
+    wrote it.
+    """
 
-def _summary_from_record(
-    record: Record, parameter: str, value: Any
-) -> TrialSummary | None:
-    """Rebuild the point summary, or ``None`` when the record is foreign."""
-    meta, arrays = record.meta, record.arrays
-    if meta.get("kind") != "sweep_point":
-        return None
-    try:
-        return TrialSummary(
-            label=str(meta["label"]),
-            trials=int(meta["trials"]),
-            rounds=int(meta["rounds"]),
-            average_regrets=arrays["average_regrets"],
-            closenesses=arrays.get("closenesses"),
-            max_abs_deficits=arrays["max_abs_deficits"],
-            switches_per_round=arrays["switches_per_round"],
-            results=[],
-            params={parameter: value},
+    base: ScenarioSpec
+    coordinate: tuple[tuple[str, Any], ...]
+    rounds: int
+    trials: int
+    run_params: dict[str, Any]
+    spec: ScenarioSpec = field(init=False, repr=False, compare=False)
+    seed: int = field(init=False, compare=False)
+    digest: str = field(init=False, compare=False)
+    label: str = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        pairs = tuple(self.coordinate)
+        values = json.loads(canonical_json([value for _, value in pairs]))
+        coordinate = tuple(zip((parameter for parameter, _ in pairs), values))
+        object.__setattr__(self, "coordinate", coordinate)
+        spec = self.base
+        for parameter, value in coordinate:
+            spec = spec.with_param(parameter, value)
+        parameter, value = self.key
+        seed = sweep_point_seed(spec, parameter, value, self.base.seed)
+        digest = sweep_point_digest(
+            spec,
+            parameter,
+            value,
+            rounds=self.rounds,
+            trials=self.trials,
+            run_params=self.run_params,
+            point_seed=seed,
         )
-    except (KeyError, TypeError, ValueError):
-        return None
+        label = ",".join(f"{p}={v}" for p, v in coordinate) or self.base.describe()
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "digest", digest)
+        object.__setattr__(self, "label", label)
+
+    @property
+    def key(self) -> tuple[Any, Any]:
+        """The coordinate's digest-key form: :data:`EMPTY_COORDINATE` when
+        empty, else as :func:`_coordinate_key` renders it."""
+        if not self.coordinate:
+            return EMPTY_COORDINATE
+        return _coordinate_key([p for p, _ in self.coordinate], [v for _, v in self.coordinate])
+
+    @property
+    def params(self) -> dict[str, Any]:
+        """The coordinate as ``{path: value}`` (a summary's ``params``)."""
+        return dict(self.coordinate)
+
+    def compute(
+        self,
+        pi_cache: SharedPiCache | None = None,
+        *,
+        parallel: int = 0,
+        batch: int | None = None,
+        keep_results: bool = False,
+    ) -> TrialSummary:
+        """Run the point's trials — the one point-level ``run_trials`` call.
+
+        Closeness is measured against the *base* spec's ``gamma_star``
+        and total demand (sweeping the demand itself therefore reports
+        closeness against the base demand).  The lane count, too, comes
+        from the base spec through :func:`resolve_batch`: engine params
+        are performance knobs (results are bit-identical at any batch),
+        so even a sweep over an engine param runs every point in the
+        same chunks.  ``parallel``, ``batch`` and ``keep_results`` are
+        as in :func:`run_scenario`.
+        """
+        gamma_star, total_demand = _closeness_inputs(self.base)
+        return run_trials(
+            ScenarioFactory(self.spec, pi_cache),
+            self.rounds,
+            self.trials,
+            seed=self.seed,
+            label=self.label,
+            gamma_star=gamma_star,
+            total_demand=total_demand,
+            processes=parallel,
+            batch=resolve_batch(self.base, batch, parallel),
+            keep_results=keep_results,
+            params=self.params,
+            **self.run_params,
+        )
+
+    def point_record(self, summary: TrialSummary) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
+        """``(arrays, meta)`` persisting a computed summary (results excluded).
+
+        Deliberately no wall-clock field (RPR002): record bytes are a
+        pure function of the point, so stores written by any path
+        byte-compare.  The coordinate takes its digest-key form
+        (:attr:`key`).
+        """
+        arrays: dict[str, np.ndarray] = {
+            "average_regrets": summary.average_regrets,
+            "max_abs_deficits": summary.max_abs_deficits,
+            "switches_per_round": summary.switches_per_round,
+        }
+        if summary.closenesses is not None:
+            arrays["closenesses"] = summary.closenesses
+        parameter, value = self.key
+        meta = {
+            "kind": "sweep_point",
+            "label": summary.label,
+            "trials": summary.trials,
+            "rounds": summary.rounds,
+            "parameter": parameter,
+            "value": value,
+            "repro_version": __version__,
+        }
+        return arrays, meta
+
+    def read(self, store: ResultStore) -> TrialSummary | None:
+        """The committed summary, or ``None`` when the record is absent,
+        unreadable or foreign (the caller then recomputes it)."""
+        record = store.read_record(self.digest)
+        if record is None or record.meta.get("kind") != "sweep_point":
+            return None
+        meta, arrays = record.meta, record.arrays
+        try:
+            return TrialSummary(
+                label=str(meta["label"]),
+                trials=int(meta["trials"]),
+                rounds=int(meta["rounds"]),
+                average_regrets=arrays["average_regrets"],
+                closenesses=arrays.get("closenesses"),
+                max_abs_deficits=arrays["max_abs_deficits"],
+                switches_per_round=arrays["switches_per_round"],
+                results=[],
+                params=self.params,
+            )
+        except (KeyError, TypeError, ValueError):
+            return None
 
 
 def sweep_scenario(
@@ -358,16 +470,15 @@ def sweep_scenario(
     shared_pi_cache: SharedPiCache | bool | None = None,
     store: "ResultStore | str | None" = None,
     resume: bool = True,
-    seed_mode: str = "digest",
     max_new_points: int | None = None,
     **run_overrides: Any,
 ) -> SweepResult:
     """Sweep one spec parameter (dotted path) over ``values``.
 
-    Each value produces a derived spec via ``spec.with_param(parameter,
-    value)`` and runs ``trials`` trials; closeness uses the *base*
-    spec's ``gamma_star`` and total demand (sweeping the demand size
-    itself therefore reports closeness against the base demand).
+    Each value is one :class:`PointJob` over ``spec``: a derived spec
+    via ``spec.with_param(parameter, value)``, run for ``trials``
+    trials, with closeness against the *base* spec's ``gamma_star`` and
+    total demand.
 
     ``shared_pi_cache=True`` creates one cross-trial join-distribution
     cache spanning *all* sweep points (sweep points with repeating
@@ -389,13 +500,7 @@ def sweep_scenario(
     points may be *computed* before the sweep raises
     :class:`~repro.exceptions.SweepInterrupted` (the deterministic
     stand-in for a killed process in the resume tests and CI smoke).
-
-    ``seed_mode`` selects the point seed-root derivation (see
-    :data:`SEED_MODES`).  The default ``"digest"`` derivation is
-    insertion-stable: adding a value to a sweep leaves every other
-    point's seeds — and records — untouched.  The legacy ``"index"``
-    derivation (``SeedSequence(seed).spawn(len(values))``) reshuffles
-    seeds when a value is inserted, so it refuses to run store-backed.
+    A sweep takes no leases: it reads and commits points directly.
 
     ``batch`` behaves as in :func:`run_scenario`: ``None`` (default)
     batches each point's counting trials (a ``counting_batched`` spec
@@ -413,8 +518,6 @@ def sweep_scenario(
             f"top-level field {parameter!r} is fixed per sweep (the trial runner "
             "supplies rounds and per-trial seeds) — pass it as a keyword instead"
         )
-    if seed_mode not in SEED_MODES:
-        raise ConfigurationError(f"seed_mode must be one of {SEED_MODES}, got {seed_mode!r}")
     values = list(values)
     if not values:
         raise ConfigurationError("sweep needs at least one value")
@@ -431,13 +534,6 @@ def sweep_scenario(
                 "points can never return full SimulationResults — pass "
                 "keep_results=False (or drop the store)"
             )
-        if seed_mode == "index":
-            raise ConfigurationError(
-                "seed_mode='index' derives point seeds from sweep positions, so "
-                "records of one sweep would silently mismatch a reordered or "
-                "extended re-invocation; store-backed sweeps require "
-                "seed_mode='digest'"
-            )
 
     if shared_pi_cache is True:
         disk = store.pi_cache() if store is not None else None
@@ -445,45 +541,17 @@ def sweep_scenario(
     elif shared_pi_cache is False:
         shared_pi_cache = None
 
-    run_kwargs = {**spec.run_params, **run_overrides}
-    gamma_star, total_demand = _closeness_inputs(spec)
-    # Resolved once from the base spec: engine params are performance
-    # knobs (results are bit-identical at any batch), so even a sweep
-    # over an engine param keeps the base spec's batching.
+    # Resolved up front so a bad batch fails even when every point resumes.
     batch = resolve_batch(spec, batch, parallel)
-    derived = [spec.with_param(parameter, value) for value in values]
-
-    if seed_mode == "index":
-        root = np.random.SeedSequence(spec.seed)
-        point_seeds = [int(s.generate_state(1)[0]) for s in root.spawn(len(values))]
-    else:
-        point_seeds = [
-            sweep_point_seed(dspec, parameter, value, spec.seed)
-            for dspec, value in zip(derived, values)
-        ]
-
-    digests: list[str | None] = [None] * len(values)
-    if store is not None:
-        digests = [
-            sweep_point_digest(
-                dspec,
-                parameter,
-                value,
-                rounds=rounds,
-                trials=trials,
-                run_params=run_kwargs,
-                point_seed=point_seed,
-            )
-            for dspec, value, point_seed in zip(derived, values, point_seeds)
-        ]
+    run_params = {**spec.run_params, **run_overrides}
+    jobs = [PointJob(spec, ((parameter, value),), rounds, trials, run_params) for value in values]
 
     summaries: list[TrialSummary] = []
     resumed: list[bool] = []
     new_points = 0
-    for dspec, value, point_seed, digest in zip(derived, values, point_seeds, digests):
+    for job in jobs:
         if store is not None and resume:
-            record = store.read_record(digest)
-            summary = None if record is None else _summary_from_record(record, parameter, value)
+            summary = job.read(store)
             if summary is not None:
                 summaries.append(summary)
                 resumed.append(True)
@@ -495,24 +563,12 @@ def sweep_scenario(
                 f"{len(summaries)} of {len(values)} points are committed — "
                 "re-run with resume=True to continue"
             )
-        summary = run_trials(
-            ScenarioFactory(dspec, shared_pi_cache),
-            rounds,
-            trials,
-            seed=point_seed,
-            label=f"{parameter}={value}",
-            gamma_star=gamma_star,
-            total_demand=total_demand,
-            processes=parallel,
-            batch=batch,
-            keep_results=keep_results,
-            params={parameter: value},
-            **run_kwargs,
+        summary = job.compute(
+            shared_pi_cache, parallel=parallel, batch=batch, keep_results=keep_results
         )
         new_points += 1
         if store is not None:
-            arrays, meta = _summary_record(summary, parameter, value)
-            store.write_record(digest, arrays, meta)
+            store.write_record(job.digest, *job.point_record(summary))
         summaries.append(summary)
         resumed.append(False)
     return SweepResult(

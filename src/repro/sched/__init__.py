@@ -14,8 +14,9 @@ package scales that idea out:
   TTL-based reclaim so a SIGKILL'd worker's points are re-leased.
   Double execution after a reclaim is *safe* because commits are
   idempotent digest-keyed records with deterministic bytes.
-* :mod:`repro.sched.worker` — the claim → execute → commit → release
-  loop, byte-compatible with store-backed ``sweep_scenario``.
+* :mod:`repro.sched.worker` — the claim → compute → commit → release
+  loop over the grid's points, each a :class:`~repro.scenario.PointJob`
+  exactly as in a store-backed ``sweep_scenario``.
 * :mod:`repro.sched.scheduler` — grid persistence (``grid.json`` in the
   store), frontier status, the N-process orchestrator
   (:func:`run_grid`), and result collection (:func:`collect_grid`).
@@ -42,7 +43,7 @@ configuration: each runs ``repro-experiments sched work <dir>`` against
 the same store directory.
 """
 
-from repro.sched.grid import GridAxis, GridPoint, GridSpec, point_record, point_summary
+from repro.sched.grid import GridAxis, GridSpec
 from repro.sched.leases import DEFAULT_LEASE_TTL, Lease, LeaseManager
 from repro.sched.scheduler import (
     GRID_MANIFEST,
@@ -60,7 +61,6 @@ __all__ = [
     "DEFAULT_LEASE_TTL",
     "GRID_MANIFEST",
     "GridAxis",
-    "GridPoint",
     "GridResult",
     "GridSpec",
     "Lease",
@@ -71,8 +71,6 @@ __all__ = [
     "grid_status",
     "init_grid",
     "load_grid",
-    "point_record",
-    "point_summary",
     "run_grid",
     "run_worker",
 ]

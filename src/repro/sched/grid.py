@@ -2,7 +2,8 @@
 
 ``sweep_scenario`` sweeps one dotted parameter over a list of values; a
 :class:`GridSpec` generalizes that to the cross product of several axes
-(``algorithm.gamma`` x ``feedback.lam`` x ...).  Every grid point is
+(``algorithm.gamma`` x ``feedback.lam`` x ...).  Every grid point is a
+:class:`~repro.scenario.PointJob`, the same unit a sweep point is:
 
 * a **derived spec** — the base :class:`~repro.scenario.ScenarioSpec`
   with each axis value applied via ``with_param``;
@@ -31,19 +32,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-import numpy as np
-import numpy.typing as npt
-
-from repro._version import __version__
 from repro.exceptions import ConfigurationError
-from repro.scenario.runner import sweep_point_digest, sweep_point_seed
+from repro.scenario.runner import PointJob
 from repro.scenario.spec import ScenarioSpec
-from repro.sim.runner import TrialSummary
 from repro.store import STORE_FORMAT, canonical_json, digest_hex
-from repro.store.records import Record
 from repro.util.validation import check_integer
 
-__all__ = ["GridAxis", "GridPoint", "GridSpec", "point_record", "point_summary"]
+__all__ = ["GridAxis", "GridSpec"]
 
 
 def _canonical_values(parameter: str, values: Any) -> tuple[Any, ...]:
@@ -97,22 +92,6 @@ class GridAxis:
 
 
 @dataclass(frozen=True)
-class GridPoint:
-    """One materialized grid point: coordinate, derived spec, identity."""
-
-    index: int
-    coords: dict[str, Any]
-    spec: ScenarioSpec
-    seed: int
-    digest: str
-
-    @property
-    def label(self) -> str:
-        """``"p=v"`` per axis — matches ``sweep_scenario`` on one axis."""
-        return ",".join(f"{p}={v}" for p, v in self.coords.items())
-
-
-@dataclass(frozen=True)
 class GridSpec:
     """A cross-product sweep over a base scenario, as plain data.
 
@@ -138,7 +117,7 @@ class GridSpec:
     rounds: int | None = None
     trials: int = 5
     run_overrides: dict[str, Any] = field(default_factory=dict)
-    _points: tuple[GridPoint, ...] = field(init=False, repr=False, compare=False)
+    _points: tuple[PointJob, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.spec, Mapping):
@@ -193,46 +172,18 @@ class GridSpec:
             n *= len(axis.values)
         return n
 
-    def _make_points(self) -> tuple[GridPoint, ...]:
+    def _make_points(self) -> tuple[PointJob, ...]:
+        assert self.rounds is not None  # resolved in __post_init__
         parameters = self.parameters
         run_params = self.run_params
-        points = []
-        for index, combo in enumerate(
-            itertools.product(*(axis.values for axis in self.axes))
-        ):
-            dspec = self.spec
-            for parameter, value in zip(parameters, combo):
-                dspec = dspec.with_param(parameter, value)
-            seed = sweep_point_seed(dspec, parameters, list(combo), self.spec.seed)
-            digest = sweep_point_digest(
-                dspec,
-                parameters,
-                list(combo),
-                rounds=self.rounds,
-                trials=self.trials,
-                run_params=run_params,
-                point_seed=seed,
-            )
-            points.append(
-                GridPoint(
-                    index=index,
-                    coords=dict(zip(parameters, combo)),
-                    spec=dspec,
-                    seed=seed,
-                    digest=digest,
-                )
-            )
-        return tuple(points)
+        return tuple(
+            PointJob(self.spec, tuple(zip(parameters, combo)), self.rounds, self.trials, run_params)
+            for combo in itertools.product(*(axis.values for axis in self.axes))
+        )
 
-    def points(self) -> tuple[GridPoint, ...]:
-        """Every grid point, in canonical (row-major) order."""
+    def points(self) -> tuple[PointJob, ...]:
+        """Every grid point's job, in canonical (row-major) order."""
         return self._points
-
-    def closeness_inputs(self) -> tuple[float | None, float | None]:
-        """``(gamma_star, total_demand)`` for trial summaries (base spec)."""
-        if self.spec.gamma_star is None:
-            return None, None
-        return self.spec.gamma_star, float(self.spec.initial_demand().total)
 
     # ------------------------------------------------------------------
     def grid_digest(self) -> str:
@@ -284,62 +235,3 @@ class GridSpec:
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"invalid grid JSON: {exc}") from exc
         return cls.from_dict(data)
-
-
-# ----------------------------------------------------------------------
-# Record (de)serialization for grid points
-
-
-def point_record(
-    point: GridPoint, summary: TrialSummary
-) -> tuple[dict[str, npt.NDArray[np.float64]], dict[str, Any]]:
-    """``(arrays, meta)`` persisting one computed grid point.
-
-    Deliberately contains no wall-clock field: together with the
-    deterministic payload serialization this makes scheduler-written
-    stores *byte-comparable* — the kill-recovery guarantee is checked
-    by diffing ``results/`` trees, and a timestamp would make every
-    diff noisy.  The coordinate uses the same scalar-or-lists forms as
-    :func:`~repro.scenario.sweep_point_digest`, so single-axis records
-    stay readable by ``sweep_scenario`` resumes.
-    """
-    arrays: dict[str, npt.NDArray[np.float64]] = {
-        "average_regrets": summary.average_regrets,
-        "max_abs_deficits": summary.max_abs_deficits,
-        "switches_per_round": summary.switches_per_round,
-    }
-    if summary.closenesses is not None:
-        arrays["closenesses"] = summary.closenesses
-    parameters = list(point.coords)
-    values = list(point.coords.values())
-    meta = {
-        "kind": "sweep_point",
-        "label": summary.label,
-        "trials": summary.trials,
-        "rounds": summary.rounds,
-        "parameter": parameters[0] if len(parameters) == 1 else parameters,
-        "value": values[0] if len(values) == 1 else values,
-        "repro_version": __version__,
-    }
-    return arrays, meta
-
-
-def point_summary(point: GridPoint, record: Record) -> TrialSummary | None:
-    """Rebuild a point's summary from its record, or ``None`` if foreign."""
-    meta, arrays = record.meta, record.arrays
-    if meta.get("kind") != "sweep_point":
-        return None
-    try:
-        return TrialSummary(
-            label=str(meta["label"]),
-            trials=int(meta["trials"]),
-            rounds=int(meta["rounds"]),
-            average_regrets=arrays["average_regrets"],
-            closenesses=arrays.get("closenesses"),
-            max_abs_deficits=arrays["max_abs_deficits"],
-            switches_per_round=arrays["switches_per_round"],
-            results=[],
-            params=dict(point.coords),
-        )
-    except (KeyError, TypeError, ValueError):
-        return None

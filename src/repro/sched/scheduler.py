@@ -309,16 +309,13 @@ class GridResult:
 
 def collect_grid(store: ResultStore | str, grid: GridSpec) -> GridResult:
     """Load every point's committed summary; raises if any is missing."""
-    from repro.sched.grid import point_summary
-
     store = ResultStore.coerce(store)
     summaries = []
     missing = []
-    for point in grid.points():
-        record = store.read_record(point.digest)
-        summary = None if record is None else point_summary(point, record)
+    for job in grid.points():
+        summary = job.read(store)
         if summary is None:
-            missing.append(point.label)
+            missing.append(job.label)
         else:
             summaries.append(summary)
     if missing:

@@ -5,18 +5,19 @@ frontier as it can get leases for.  The loop per pass over the points:
 
 1. **Skip** points whose record is already committed (the store is the
    single source of truth — a lease is only ever an optimization to
-   avoid duplicate work, never a correctness requirement).
+   avoid duplicate work, never a correctness requirement).  A record
+   whose payload is missing or unreadable is not committed
+   (:meth:`~repro.store.ResultStore.has_record`), so it is recomputed.
 2. **Claim** the next pending point via ``O_EXCL`` lease creation,
    reclaiming leases whose heartbeat went silent for a TTL
    (:mod:`repro.sched.leases`).
 3. **Re-check** the record after claiming — the previous holder may
    have committed between our staleness check and the reclaim.
-4. **Execute** the point exactly as a store-backed ``sweep_scenario``
-   would (same seed derivation, same label, same closeness inputs,
-   same merged run kwargs, same lane count), heartbeating the lease
-   from a daemon thread throughout.
-5. **Commit** the digest-keyed record atomically, then release the
-   lease.
+4. **Compute** the point's :class:`~repro.scenario.PointJob` — the
+   same job a store-backed ``sweep_scenario`` runs for it —
+   heartbeating the lease from a daemon thread throughout.
+5. **Commit** the job's digest-keyed record atomically, then release
+   the lease.
 
 A worker that is SIGKILL'd anywhere in this loop leaves at most one
 stale lease and some invisible temp files; both are reclaimed/swept by
@@ -32,17 +33,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
 
 from repro.obs import get_registry
 from repro.obs import monotonic as obs_monotonic
 from repro.obs import span as obs_span
-from repro.scenario.runner import ScenarioFactory, resolve_batch
 from repro.sim.pi_cache import SharedPiCache
-from repro.sim.runner import run_trials
 from repro.store import ResultStore
 
-from repro.sched.grid import GridPoint, GridSpec, point_record
+from repro.sched.grid import GridSpec
 from repro.sched.leases import DEFAULT_LEASE_TTL, LeaseManager
 
 __all__ = ["WorkerStats", "run_worker"]
@@ -65,11 +63,9 @@ def run_worker(
     *,
     ttl: float = DEFAULT_LEASE_TTL,
     poll: float = 0.2,
-    heartbeat_interval: float | None = None,
     shared_pi_cache: SharedPiCache | bool | None = None,
     max_points: int | None = None,
     worker_id: str | None = None,
-    on_point: Callable[[GridPoint, WorkerStats], None] | None = None,
 ) -> WorkerStats:
     """Drain a grid's frontier until every point is committed.
 
@@ -77,13 +73,11 @@ def run_worker(
     ``store`` (some computed here, some by other workers), or after
     committing ``max_points`` new points.  ``poll`` is the idle sleep
     while waiting on points other workers hold leases for; the lease
-    heartbeat fires every ``heartbeat_interval`` seconds (default
-    ``ttl / 4``).  ``shared_pi_cache=True`` attaches a cross-point join
-    kernel cache whose disk tier lives inside the store.
+    heartbeat fires every ``ttl / 4`` seconds.  ``shared_pi_cache=True``
+    attaches a cross-point join kernel cache whose disk tier lives
+    inside the store.
     """
     store = ResultStore.coerce(store)
-    if heartbeat_interval is None:
-        heartbeat_interval = ttl / 4.0
     pi_cache: SharedPiCache | None
     if shared_pi_cache is True:
         pi_cache = SharedPiCache(disk=store.pi_cache())
@@ -94,9 +88,6 @@ def run_worker(
 
     grid_dir = store.sched_dir / grid.grid_digest()
     manager = LeaseManager(grid_dir, ttl=ttl, worker_id=worker_id)
-    gamma_star, total_demand = grid.closeness_inputs()
-    run_params = grid.run_params
-    batch = resolve_batch(grid.spec)
     stats = WorkerStats()
     # Per-outcome counters + point latency; cumulative, process-wide.
     registry = get_registry()
@@ -109,11 +100,11 @@ def run_worker(
     while True:
         outstanding = 0
         progressed = False
-        for point in grid.points():
-            if store.has_record(point.digest):
+        for job in grid.points():
+            if store.has_record(job.digest):
                 continue
             outstanding += 1
-            lease = manager.try_claim(point.digest)
+            lease = manager.try_claim(job.digest)
             if lease is None:
                 stats.lease_denied += 1
                 outcomes["lease_denied"].inc()
@@ -121,42 +112,28 @@ def run_worker(
             try:
                 # The reclaimed holder may have committed after our
                 # staleness check — the record, not the lease, decides.
-                if store.has_record(point.digest):
+                if store.has_record(job.digest):
                     stats.resumed_skips += 1
                     outcomes["resumed_skip"].inc()
                     progressed = True
                     continue
                 started = obs_monotonic()
-                with lease.heartbeat(heartbeat_interval) as lost:
-                    with obs_span("sched_point", digest=point.digest, label=point.label):
-                        summary = run_trials(
-                            ScenarioFactory(point.spec, pi_cache),
-                            grid.rounds,
-                            grid.trials,
-                            seed=point.seed,
-                            label=point.label,
-                            gamma_star=gamma_star,
-                            total_demand=total_demand,
-                            batch=batch,
-                            keep_results=False,
-                            params=dict(point.coords),
-                            **run_params,
-                        )
+                with lease.heartbeat(ttl / 4.0) as lost:
+                    with obs_span("sched_point", digest=job.digest, label=job.label):
+                        summary = job.compute(pi_cache)
                 point_seconds.observe(obs_monotonic() - started)
                 # Commit even when the lease was lost: the digest pins
                 # the content, so a double commit writes identical bytes.
-                arrays, meta = point_record(point, summary)
-                with obs_span("sched_commit", digest=point.digest):
-                    store.write_record(point.digest, arrays, meta)
+                arrays, meta = job.point_record(summary)
+                with obs_span("sched_commit", digest=job.digest):
+                    store.write_record(job.digest, arrays, meta)
                 if lost.is_set():
                     stats.lost_leases += 1
                     outcomes["lost_lease"].inc()
                 stats.computed += 1
                 outcomes["computed"].inc()
-                stats.digests.append(point.digest)
+                stats.digests.append(job.digest)
                 progressed = True
-                if on_point is not None:
-                    on_point(point, stats)
             finally:
                 lease.release()
             if max_points is not None and stats.computed >= max_points:
@@ -167,28 +144,3 @@ def run_worker(
             # Everything pending is leased by live workers — wait for
             # them to commit (or for their heartbeats to go stale).
             time.sleep(poll)
-
-
-def execute_point(
-    point: GridPoint,
-    grid: GridSpec,
-    *,
-    shared_pi_cache: SharedPiCache | None = None,
-) -> dict[str, Any]:
-    """Compute one point in isolation (no store, no lease) — test hook."""
-    gamma_star, total_demand = grid.closeness_inputs()
-    summary = run_trials(
-        ScenarioFactory(point.spec, shared_pi_cache),
-        grid.rounds,
-        grid.trials,
-        seed=point.seed,
-        label=point.label,
-        gamma_star=gamma_star,
-        total_demand=total_demand,
-        batch=resolve_batch(grid.spec),
-        keep_results=False,
-        params=dict(point.coords),
-        **grid.run_params,
-    )
-    arrays, meta = point_record(point, summary)
-    return {"summary": summary, "arrays": arrays, "meta": meta}

@@ -20,6 +20,9 @@ same :func:`repro.scenario.sweep_point_seed`:
   ``("", None)`` — impossible for real sweeps (axis parameters must be
   dotted paths), so bare-spec requests can never alias a sweep point.
 
+A request builds its :class:`~repro.scenario.PointJob` once, on
+construction — the job the service computes, commits and reads back,
+and the same one a sweep or a grid worker runs for the point.
 Everything here is pure data + digest computation: the module performs
 no I/O, so request identity can be computed (and unit-tested) without a
 store or a server.
@@ -32,22 +35,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-import numpy.typing as npt
-
 from repro.exceptions import ConfigurationError
-from repro.scenario.runner import sweep_point_digest, sweep_point_seed
+from repro.scenario.runner import PointJob
 from repro.scenario.spec import ScenarioSpec
-from repro.sim.runner import TrialSummary
-from repro._version import __version__
 from repro.store import canonical_json
 from repro.util.validation import check_integer
 
-__all__ = ["ScenarioRequest", "request_record"]
-
-#: Coordinate of a request that overrides nothing: real sweep coordinates
-#: are dotted component paths, so the empty parameter cannot collide.
-EMPTY_COORDINATE: tuple[str, None] = ("", None)
+__all__ = ["ScenarioRequest"]
 
 
 def _canonical_mapping(name: str, data: Any) -> dict[str, Any]:
@@ -85,6 +79,9 @@ class ScenarioRequest:
     run_params:
         Extra ``run()`` kwargs merged over ``spec.run_params`` (the same
         merge ``sweep_scenario`` applies to keyword overrides).
+
+    The request's :class:`~repro.scenario.PointJob`, built once on
+    construction, is its ``job``.
     """
 
     spec: ScenarioSpec
@@ -92,6 +89,7 @@ class ScenarioRequest:
     rounds: int | None = None
     trials: int = 1
     run_params: dict[str, Any] = field(default_factory=dict)
+    job: PointJob = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.spec, Mapping):
@@ -111,10 +109,20 @@ class ScenarioRequest:
         # Sorted order is the canonical coordinate order (dicts preserve
         # insertion order, so sort once here and identity follows).
         object.__setattr__(self, "params", {k: params[k] for k in sorted(params)})
-        rounds = self.spec.rounds if self.rounds is None else self.rounds
-        object.__setattr__(self, "rounds", check_integer("rounds", rounds, minimum=1))
+        rounds = check_integer(
+            "rounds", self.spec.rounds if self.rounds is None else self.rounds, minimum=1
+        )
+        object.__setattr__(self, "rounds", rounds)
         object.__setattr__(self, "trials", check_integer("trials", self.trials, minimum=1))
         object.__setattr__(self, "run_params", _canonical_mapping("run_params", self.run_params))
+        job = PointJob(
+            self.spec,
+            tuple(self.params.items()),
+            rounds,
+            self.trials,
+            {**self.spec.run_params, **self.run_params},
+        )
+        object.__setattr__(self, "job", job)
 
     # ------------------------------------------------------------------
     # Wire format
@@ -148,89 +156,8 @@ class ScenarioRequest:
         }
 
     # ------------------------------------------------------------------
-    # Identity (the dedup key) — delegated to the sweep-point scheme
-
-    def coordinate(self) -> tuple[str | list[str], Any]:
-        """The request's sweep coordinate in the scalar-or-lists forms of
-        :func:`repro.scenario.sweep_point_digest`."""
-        if not self.params:
-            return EMPTY_COORDINATE
-        parameters = list(self.params)
-        values = list(self.params.values())
-        if len(parameters) == 1:
-            return parameters[0], values[0]
-        return parameters, values
-
-    def derived_spec(self) -> ScenarioSpec:
-        """The base spec with every override applied (canonical order)."""
-        derived = self.spec
-        for path, value in self.params.items():
-            derived = derived.with_param(path, value)
-        return derived
-
-    def merged_run_params(self) -> dict[str, Any]:
-        """The run kwargs a computation executes with (spec + overrides)."""
-        return {**self.spec.run_params, **self.run_params}
-
-    def label(self) -> str:
-        """Record label — matches the sweep/grid label for the point."""
-        if not self.params:
-            return self.spec.describe()
-        return ",".join(f"{p}={v}" for p, v in self.params.items())
-
-    def seed(self) -> int:
-        """Insertion-stable seed root (see :func:`sweep_point_seed`)."""
-        parameter, value = self.coordinate()
-        return sweep_point_seed(self.derived_spec(), parameter, value, self.spec.seed)
+    # Identity (the dedup key) — the job's sweep-point digest
 
     def digest(self) -> str:
         """The content digest this request dedups on (the store key)."""
-        parameter, value = self.coordinate()
-        assert self.rounds is not None  # resolved in __post_init__
-        return sweep_point_digest(
-            self.derived_spec(),
-            parameter,
-            value,
-            rounds=self.rounds,
-            trials=self.trials,
-            run_params=self.merged_run_params(),
-            point_seed=self.seed(),
-        )
-
-    def closeness_inputs(self) -> tuple[float | None, float | None]:
-        """``(gamma_star, total_demand)`` from the *base* spec — the same
-        convention as ``sweep_scenario`` (closeness is always reported
-        against the base demand)."""
-        if self.spec.gamma_star is None:
-            return None, None
-        return self.spec.gamma_star, float(self.spec.initial_demand().total)
-
-
-def request_record(
-    request: ScenarioRequest, summary: TrialSummary
-) -> tuple[dict[str, npt.NDArray[np.float64]], dict[str, Any]]:
-    """``(arrays, meta)`` persisting one computed request.
-
-    Field-for-field the manifest a store-backed sweep (or a scheduler
-    worker) writes for the same point — deliberately, so a record is
-    byte-identical no matter which path computed it, and no wall-clock
-    field ever lands in a manifest (RPR002).
-    """
-    arrays: dict[str, npt.NDArray[np.float64]] = {
-        "average_regrets": summary.average_regrets,
-        "max_abs_deficits": summary.max_abs_deficits,
-        "switches_per_round": summary.switches_per_round,
-    }
-    if summary.closenesses is not None:
-        arrays["closenesses"] = summary.closenesses
-    parameter, value = request.coordinate()
-    meta = {
-        "kind": "sweep_point",
-        "label": summary.label,
-        "trials": summary.trials,
-        "rounds": summary.rounds,
-        "parameter": parameter,
-        "value": value,
-        "repro_version": __version__,
-    }
-    return arrays, meta
+        return self.job.digest

@@ -13,12 +13,12 @@ store.  ``submit`` computes the request's sweep-point digest and then:
   refused with :class:`~repro.exceptions.ServiceBusy` once
   ``max_pending`` requests are outstanding (back pressure).
 
-Workers drain the queue through the exact computation path a
-store-backed sweep or a :mod:`repro.sched` worker uses — same seed
-derivation, same label, same merged run kwargs, same lane count, same
-record shape — so a record is byte-identical no matter which path
-computed it.  Each execution is guarded by the scheduler's lease
-protocol (:class:`repro.sched.leases.LeaseManager` under
+Workers drain the queue by computing and committing each request's
+:class:`~repro.scenario.PointJob` — the job a store-backed sweep or a
+:mod:`repro.sched` worker runs for the same point — so a record is
+byte-identical no matter which path computed it.  Each execution is
+guarded by the scheduler's lease protocol
+(:class:`repro.sched.leases.LeaseManager` under
 ``<store>/sched/serve/``): several service processes may front one
 store, a crashed process's in-flight request is reclaimed after the
 TTL, and the digest-keyed idempotent commit makes the double-execution
@@ -41,11 +41,10 @@ from repro.exceptions import ServiceBusy
 from repro.obs import get_registry
 from repro.obs import monotonic as obs_monotonic
 from repro.obs import span as obs_span
-from repro.scenario.runner import ScenarioFactory, resolve_batch
+from repro.scenario.runner import PointJob
 from repro.sched.leases import DEFAULT_LEASE_TTL, Lease, LeaseManager
-from repro.serve.request import ScenarioRequest, request_record
+from repro.serve.request import ScenarioRequest
 from repro.sim.pi_cache import SharedPiCache
-from repro.sim.runner import run_trials
 from repro.store import ResultStore
 
 __all__ = ["DEFAULT_MAX_PENDING", "ScenarioService", "ServiceStatus"]
@@ -132,7 +131,7 @@ class ScenarioService:
         self._use_pi_cache = bool(shared_pi_cache)
         self._queue: queue.Queue[str | None] = queue.Queue()
         self._lock = threading.Lock()
-        self._pending: dict[str, ScenarioRequest] = {}
+        self._pending: dict[str, PointJob] = {}
         self._failed: dict[str, str] = {}
         self._hits = 0
         self._misses = 0
@@ -218,7 +217,7 @@ class ScenarioService:
                 )
             self._misses += 1
             self._failed.pop(digest, None)  # resubmission retries a failure
-            self._pending[digest] = request
+            self._pending[digest] = request.job
         registry.counter("repro_serve_requests_total", disposition="queued").inc()
         self._queue.put(digest)
         return digest, "queued"
@@ -293,10 +292,10 @@ class ScenarioService:
 
     def _execute(self, digest: str, manager: LeaseManager, pi_cache: SharedPiCache | None) -> None:
         with self._lock:
-            request = self._pending.get(digest)
+            job = self._pending.get(digest)
             stopping = self._stopping
-        if request is None or stopping:
-            if request is not None:
+        if job is None or stopping:
+            if job is not None:
                 with self._lock:
                     self._pending.pop(digest, None)
             return
@@ -316,7 +315,7 @@ class ScenarioService:
                     # staleness check — the record, not the lease, decides.
                     if self.store.has_record(digest):
                         break
-                    self._compute(request, digest, lease, pi_cache)
+                    self._compute(job, lease, pi_cache)
                 finally:
                     lease.release()
                 break
@@ -328,38 +327,18 @@ class ScenarioService:
             with self._lock:
                 self._pending.pop(digest, None)
 
-    def _compute(
-        self,
-        request: ScenarioRequest,
-        digest: str,
-        lease: Lease,
-        pi_cache: SharedPiCache | None,
-    ) -> None:
-        gamma_star, total_demand = request.closeness_inputs()
-        assert request.rounds is not None  # resolved on construction
+    def _compute(self, job: PointJob, lease: Lease, pi_cache: SharedPiCache | None) -> None:
         started = obs_monotonic()
         with lease.heartbeat(self.ttl / 4.0):
-            with obs_span("serve_compute", digest=digest):
-                summary = run_trials(
-                    ScenarioFactory(request.derived_spec(), pi_cache),
-                    request.rounds,
-                    request.trials,
-                    seed=request.seed(),
-                    label=request.label(),
-                    gamma_star=gamma_star,
-                    total_demand=total_demand,
-                    batch=resolve_batch(request.spec),
-                    keep_results=False,
-                    params=dict(request.params),
-                    **request.merged_run_params(),
-                )
+            with obs_span("serve_compute", digest=job.digest):
+                summary = job.compute(pi_cache)
         get_registry().histogram("repro_serve_compute_seconds").observe(
             obs_monotonic() - started
         )
         # Commit even when the lease was lost: the digest pins the
         # content, so a double commit writes identical bytes.
-        arrays, meta = request_record(request, summary)
-        self.store.write_record(digest, arrays, meta)
+        arrays, meta = job.point_record(summary)
+        self.store.write_record(job.digest, arrays, meta)
         with self._lock:
             self._computed += 1
 

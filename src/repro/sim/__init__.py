@@ -29,7 +29,7 @@ from repro.sim.counting import CountingSimulator, JoinDistributionCache
 from repro.sim.batched import BatchedCountingSimulator, BatchedRegretTracker, DEFAULT_BATCH
 from repro.sim.pi_cache import SharedPiCache
 from repro.sim.sequential import SequentialSimulator
-from repro.sim.runner import TrialRunner, TrialSummary, SweepResult, run_trials, sweep
+from repro.sim.runner import TrialSummary, SweepResult, run_trials
 
 __all__ = [
     "RegretTracker",
@@ -48,9 +48,7 @@ __all__ = [
     "DEFAULT_BATCH",
     "SharedPiCache",
     "SequentialSimulator",
-    "TrialRunner",
     "TrialSummary",
     "SweepResult",
     "run_trials",
-    "sweep",
 ]

@@ -1,4 +1,4 @@
-"""Multi-trial orchestration: repeated runs, parameter sweeps, summaries.
+"""Multi-trial orchestration: repeated runs and their summaries.
 
 The theorems hold "w.h.p." / in expectation, so every experiment runs
 multiple independent trials and reports mean +/- spread.  Trials get
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import pickle
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
@@ -28,7 +28,7 @@ from repro.sim.counting import CountingSimulator
 from repro.sim.engine import SimulationResult
 from repro.util.validation import check_integer
 
-__all__ = ["TrialRunner", "TrialSummary", "SweepResult", "run_trials", "sweep"]
+__all__ = ["TrialSummary", "SweepResult", "run_trials"]
 
 #: A factory mapping a trial seed to an object with ``.run(rounds, **kw)``.
 SimulatorFactory = Callable[[int], Any]
@@ -260,96 +260,3 @@ class SweepResult:
                 f"{v!s:>16}  {s.mean_average_regret:12.2f}  {c}  {s.mean_max_abs_deficit:8.1f}"
             )
         return "\n".join(lines)
-
-
-def sweep(
-    parameter: str,
-    values: Iterable[Any],
-    factory_for: Callable[[Any], SimulatorFactory],
-    rounds: int,
-    trials: int,
-    *,
-    seed: int | None = 0,
-    gamma_star_for: Callable[[Any], float] | None = None,
-    total_demand: float | None = None,
-    processes: int = 0,
-    keep_results: bool = False,
-    **run_kwargs: Any,
-) -> SweepResult:
-    """Sweep one parameter: for each value, build a factory and run trials.
-
-    ``gamma_star_for(value)`` lets the critical value depend on the swept
-    parameter (e.g. when sweeping the sigmoid steepness).
-    """
-    values = list(values)
-    if not values:
-        raise ConfigurationError("sweep needs at least one value")
-    # One independent root seed per sweep point, spawned from the sweep's
-    # root.  The old ``seed + i`` derivation aliased across sweeps: point
-    # i of a seed-s sweep reused every trial seed of point i-1 of a
-    # seed-(s+1) sweep, correlating runs that must be independent.
-    if seed is None:
-        point_seeds: list[int | None] = [None] * len(values)
-    else:
-        root = np.random.SeedSequence(seed)
-        point_seeds = [int(s.generate_state(1)[0]) for s in root.spawn(len(values))]
-    summaries = []
-    for i, v in enumerate(values):
-        gs = gamma_star_for(v) if gamma_star_for is not None else None
-        summaries.append(
-            run_trials(
-                factory_for(v),
-                rounds,
-                trials,
-                seed=point_seeds[i],
-                label=f"{parameter}={v}",
-                gamma_star=gs,
-                total_demand=total_demand,
-                processes=processes,
-                keep_results=keep_results,
-                params={parameter: v},
-                **run_kwargs,
-            )
-        )
-    return SweepResult(parameter=parameter, values=values, summaries=summaries)
-
-
-class TrialRunner:
-    """Object-style wrapper around :func:`run_trials` for repeated use.
-
-    Stores the factory and default options once; each :meth:`run` call
-    may override the horizon / trial count.
-    """
-
-    def __init__(
-        self,
-        factory: SimulatorFactory,
-        *,
-        rounds: int,
-        trials: int = 5,
-        seed: int | None = 0,
-        gamma_star: float | None = None,
-        total_demand: float | None = None,
-        **run_kwargs: Any,
-    ) -> None:
-        self.factory = factory
-        self.rounds = check_integer("rounds", rounds, minimum=1)
-        self.trials = check_integer("trials", trials, minimum=1)
-        self.seed = seed
-        self.gamma_star = gamma_star
-        self.total_demand = total_demand
-        self.run_kwargs = run_kwargs
-
-    def run(
-        self, *, rounds: int | None = None, trials: int | None = None, label: str = "run"
-    ) -> TrialSummary:
-        return run_trials(
-            self.factory,
-            rounds if rounds is not None else self.rounds,
-            trials if trials is not None else self.trials,
-            seed=self.seed,
-            label=label,
-            gamma_star=self.gamma_star,
-            total_demand=self.total_demand,
-            **self.run_kwargs,
-        )

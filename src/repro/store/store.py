@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 import time
+import zipfile
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -110,8 +111,18 @@ class ResultStore:
     # Records
 
     def has_record(self, digest: str) -> bool:
-        """True when a committed (manifest-visible) record exists."""
-        return read_manifest(self.record_dir(digest), digest) is not None
+        """True when a committed record with a readable payload exists.
+
+        Agrees with :meth:`read_record` on every partial state a crash,
+        a truncated copy or a corrupt disk can leave: a manifest whose
+        payload is missing, truncated or not a zip archive reads as
+        absent, so grid workers and the service recompute the point
+        instead of skipping it forever.  The payload check is a
+        zip-directory probe, not a full read.
+        """
+        directory = self.record_dir(digest)
+        payload = directory / f"{digest}{PAYLOAD_SUFFIX}"
+        return read_manifest(directory, digest) is not None and zipfile.is_zipfile(payload)
 
     def read_record(self, digest: str) -> Record | None:
         """The record, or ``None`` when absent or unreadable."""

@@ -2,8 +2,9 @@
 
 A ``counting_batched`` spec's ``batch`` param sets how many trials each
 batched chunk advances, whether its point runs through
-``sweep_scenario``, a grid worker (``execute_point`` / ``run_worker``) or
-the scenario service: all three resolve it through
+``sweep_scenario``, a grid worker (``run_worker``) or the scenario
+service: all three compute the point's :class:`~repro.scenario.PointJob`,
+which resolves the lane count through
 :func:`repro.scenario.runner.resolve_batch`, and the records they commit
 are byte-identical.
 """
@@ -19,7 +20,7 @@ import repro.sim.runner as runner_mod
 from repro.scenario import ScenarioFactory, ScenarioSpec, sweep_scenario
 from repro.scenario.runner import resolve_batch
 from repro.sched import GridSpec
-from repro.sched.worker import execute_point, run_worker
+from repro.sched.worker import run_worker
 from repro.serve import ScenarioRequest, ScenarioService
 from repro.sim.batched import BatchedCountingSimulator
 from repro.sim.runner import run_trials
@@ -86,8 +87,8 @@ class TestEveryPathRunsTheSpecsChunks:
 
     def test_execute_point(self, monkeypatch):
         spy = LaneSpy(monkeypatch)
-        (point,) = list(grid().points())
-        execute_point(point, grid())
+        (job,) = grid().points()
+        job.compute()
         assert spy.chunks == [3, 2]
 
     def test_run_worker_commits_the_sweep_record(self, tmp_path, monkeypatch):
@@ -118,9 +119,9 @@ class TestEveryPathRunsTheSpecsChunks:
         assert record_bytes(serve_store, digest) == record_bytes(sweep_store, digest)
 
     def test_chunks_do_not_change_the_numbers(self):
-        (point,) = list(grid().points())
-        chunked = execute_point(point, grid())["arrays"]
+        (job,) = grid().points()
+        chunked = job.compute()
         one_at_a_time = run_trials(
-            ScenarioFactory(point.spec), grid().rounds, TRIALS, seed=point.seed, batch=0
+            ScenarioFactory(job.spec), grid().rounds, TRIALS, seed=job.seed, batch=0
         )
-        np.testing.assert_array_equal(chunked["average_regrets"], one_at_a_time.average_regrets)
+        np.testing.assert_array_equal(chunked.average_regrets, one_at_a_time.average_regrets)

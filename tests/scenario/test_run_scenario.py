@@ -224,11 +224,16 @@ class TestScenarioCli:
 
     def test_run_with_batch_flag(self, spec_file, capsys):
         from repro.experiments.cli import main
+        from repro.obs import FakeClock, use_clock
 
+        # The output ends with "(scenario took {dt:.1f}s)": a fake clock
+        # pins dt, so the whole output, timing line included, compares.
         args = ["scenario", "run", spec_file, "--rounds", "50", "--trials", "4"]
-        assert main([*args, "--batch", "2"]) == 0
+        with use_clock(FakeClock()):
+            assert main([*args, "--batch", "2"]) == 0
         batched = capsys.readouterr().out
-        assert main(args) == 0
+        with use_clock(FakeClock()):
+            assert main(args) == 0
         assert batched == capsys.readouterr().out  # same numbers either way
 
     def test_show_round_trips(self, spec_file, capsys):

@@ -10,12 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.sim.runner as sim_runner_mod
 import repro.scenario.runner as scenario_runner_mod
 from repro.exceptions import ConfigurationError, SweepInterrupted
 from repro.scenario import ScenarioSpec, sweep_scenario
 from repro.sim.pi_cache import SharedPiCache
-from repro.sim.runner import sweep
 from repro.store import ResultStore
 
 
@@ -247,59 +245,20 @@ class TestDigestKeying:
 
 
 class TestSeedModes:
-    def test_index_mode_reproduces_legacy_sweep(self):
-        # The compat flag: seed_mode="index" must reproduce the exact
-        # pre-store derivation (SeedSequence(seed).spawn(len(values))),
-        # i.e. the generic sim.runner.sweep path.
-        spec = binary_spec()
-        legacy = sweep(
-            "algorithm.gamma",
-            VALUES,
-            lambda v: scenario_runner_mod.ScenarioFactory(
-                spec.with_param("algorithm.gamma", v), None
-            ),
-            spec.rounds,
-            3,
-            seed=spec.seed,
-            keep_results=False,
-        )
-        new = sweep_scenario(spec, "algorithm.gamma", VALUES, trials=3, seed_mode="index")
-        for a, b in zip(legacy.summaries, new.summaries):
-            assert np.array_equal(a.average_regrets, b.average_regrets)
-
-    def test_index_mode_reshuffles_on_insertion_digest_mode_does_not(self):
-        # The bug the satellite fixes, demonstrated: under index mode the
-        # shared values' results change when a value is inserted; under
-        # digest mode they cannot.
+    def test_insertion_does_not_reshuffle_existing_points(self):
+        # Point seed roots derive from each point's digest, never its
+        # position: inserting a value leaves every shared value's
+        # results untouched, with or without a store.
         spec = binary_spec()
 
-        def regrets(values, mode):
-            out = sweep_scenario(spec, "algorithm.gamma", values, trials=2, seed_mode=mode)
+        def regrets(values):
+            out = sweep_scenario(spec, "algorithm.gamma", values, trials=2)
             return {v: s.average_regrets.copy() for v, s in zip(values, out.summaries)}
 
-        idx_outer = regrets([0.02, 0.04], "index")
-        idx_full = regrets([0.02, 0.03, 0.04], "index")
-        assert not np.array_equal(idx_outer[0.04], idx_full[0.04])  # reshuffled!
-
-        dig_outer = regrets([0.02, 0.04], "digest")
-        dig_full = regrets([0.02, 0.03, 0.04], "digest")
-        assert np.array_equal(dig_outer[0.02], dig_full[0.02])
-        assert np.array_equal(dig_outer[0.04], dig_full[0.04])
-
-    def test_store_refuses_index_mode(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="seed_mode='digest'"):
-            sweep_scenario(
-                binary_spec(),
-                "algorithm.gamma",
-                [0.02],
-                trials=2,
-                store=tmp_path,
-                seed_mode="index",
-            )
-
-    def test_unknown_seed_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="seed_mode"):
-            sweep_scenario(binary_spec(), "algorithm.gamma", [0.02], seed_mode="nope")
+        outer = regrets([0.02, 0.04])
+        full = regrets([0.02, 0.03, 0.04])
+        assert np.array_equal(outer[0.02], full[0.02])
+        assert np.array_equal(outer[0.04], full[0.04])
 
 
 class TestGuards:
@@ -356,8 +315,3 @@ class TestSharedPiCachePersistence:
             shared_pi_cache=True,
         )
         assert len(ResultStore(tmp_path).pi_cache()) > 0
-
-    def test_sweep_runner_import_sanity(self):
-        # Guard against accidental re-export drift (sim_runner_mod is
-        # imported above to keep the legacy sweep() reachable).
-        assert sim_runner_mod.sweep is sweep

@@ -14,8 +14,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.scenario import ScenarioSpec
-from repro.sched import GridAxis, GridSpec, point_summary
-from repro.sched.worker import execute_point
+from repro.sched import GridAxis, GridSpec
+from repro.store import ResultStore
 
 
 def tiny_spec(**overrides) -> ScenarioSpec:
@@ -48,12 +48,11 @@ class TestEnumeration:
     def test_row_major_last_axis_fastest(self):
         grid = two_axis_grid()
         assert grid.n_points == 6
-        coords = [tuple(p.coords.values()) for p in grid.points()]
+        coords = [tuple(p.params.values()) for p in grid.points()]
         assert coords == [
             (0.02, 2), (0.02, 4), (0.02, 8),
             (0.04, 2), (0.04, 4), (0.04, 8),
         ]
-        assert [p.index for p in grid.points()] == list(range(6))
 
     def test_labels_match_sweep_convention(self):
         grid = two_axis_grid()
@@ -97,7 +96,7 @@ class TestIdentity:
         # The frontier-set property: adding an axis value leaves every
         # pre-existing point's digest AND seed untouched.
         def by_coord(grid):
-            return {tuple(p.coords.values()): (p.digest, p.seed) for p in grid.points()}
+            return {tuple(p.params.values()): (p.digest, p.seed) for p in grid.points()}
 
         outer = by_coord(two_axis_grid())
         inner = GridSpec(
@@ -131,13 +130,16 @@ class TestIdentity:
         assert [p.seed for p in again.points()] == [p.seed for p in grid.points()]
 
     def test_closeness_inputs_follow_gamma_star(self):
-        assert two_axis_grid().closeness_inputs() == (None, None)
-        grid = GridSpec(
-            spec=tiny_spec(gamma_star=0.01),
-            axes=[{"parameter": "algorithm.gamma", "values": [0.02]}],
-        )
-        gamma_star, total_demand = grid.closeness_inputs()
-        assert gamma_star == 0.01 and total_demand > 0
+        def computed(spec):
+            grid = GridSpec(
+                spec=spec,
+                axes=[{"parameter": "algorithm.gamma", "values": [0.02]}],
+                trials=1,
+            )
+            return grid.points()[0].compute()
+
+        assert computed(tiny_spec()).closenesses is None
+        assert computed(tiny_spec(gamma_star=0.01)).closenesses.shape == (1,)
 
 
 class TestValidation:
@@ -202,52 +204,47 @@ class TestValidation:
 
 
 class TestRecords:
-    def test_point_record_roundtrip(self):
+    def test_point_record_roundtrip(self, tmp_path):
         grid = GridSpec(
             spec=tiny_spec(),
             axes=[{"parameter": "algorithm.gamma", "values": [0.02]}],
             trials=2,
         )
-        point = grid.points()[0]
-        out = execute_point(point, grid)
-        arrays, meta = out["arrays"], out["meta"]
+        job = grid.points()[0]
+        computed = job.compute()
+        arrays, meta = job.point_record(computed)
         assert meta["kind"] == "sweep_point"
-        assert meta["label"] == point.label
+        assert meta["label"] == job.label
         # Single axis: scalar parameter/value, readable by sweep resume.
         assert meta["parameter"] == "algorithm.gamma" and meta["value"] == 0.02
         # Determinism: no wall-clock field may sneak into the manifest.
         assert "created_unix" not in meta
 
-        class FakeRecord:
-            def __init__(self, meta, arrays):
-                self.meta, self.arrays = meta, arrays
-
-        summary = point_summary(point, FakeRecord(meta, arrays))
+        store = ResultStore(tmp_path)
+        store.write_record(job.digest, arrays, meta)
+        summary = job.read(store)
         assert summary is not None
-        assert summary.label == point.label and summary.trials == 2
-        assert np.array_equal(summary.average_regrets, out["summary"].average_regrets)
-        assert summary.params == dict(point.coords)
+        assert summary.label == job.label and summary.trials == 2
+        assert np.array_equal(summary.average_regrets, computed.average_regrets)
+        assert summary.params == job.params == {"algorithm.gamma": 0.02}
 
     def test_multi_axis_meta_uses_parallel_lists(self):
         grid = two_axis_grid(trials=1)
-        point = grid.points()[0]
-        out = execute_point(point, grid)
-        meta = out["meta"]
+        job = grid.points()[0]
+        _, meta = job.point_record(job.compute())
         assert meta["parameter"] == ["algorithm.gamma", "demand.k"]
         assert meta["value"] == [0.02, 2]
 
-    def test_foreign_record_reads_as_none(self):
-        grid = two_axis_grid()
-        point = grid.points()[0]
+    def test_foreign_record_reads_as_none(self, tmp_path):
+        store = ResultStore(tmp_path)
+        job = two_axis_grid().points()[0]
+        store.write_record(job.digest, {"a": np.array([1.0])}, {"kind": "something_else"})
+        assert job.read(store) is None
 
-        class FakeRecord:
-            meta = {"kind": "something_else"}
-            arrays = {}
-
-        assert point_summary(point, FakeRecord()) is None
-
-        class TruncatedRecord:
-            meta = {"kind": "sweep_point", "label": "x", "trials": 1, "rounds": 60}
-            arrays = {}  # payload arrays missing
-
-        assert point_summary(point, TruncatedRecord()) is None
+        # A sweep_point manifest whose payload arrays are missing.
+        store.write_record(
+            job.digest,
+            {"a": np.array([1.0])},
+            {"kind": "sweep_point", "label": "x", "trials": 1, "rounds": 60},
+        )
+        assert job.read(store) is None

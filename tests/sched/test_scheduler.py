@@ -33,7 +33,6 @@ from repro.sched import (
     run_worker,
 )
 from repro.sched.scheduler import GRID_MANIFEST
-from repro.sched.worker import execute_point
 from repro.store import ResultStore
 
 
@@ -158,14 +157,14 @@ class TestCrashRecovery:
         grid = single_axis_grid([0.02], trials=1)
         store = ResultStore(tmp_path)
         point = grid.points()[0]
-        out = execute_point(point, grid)
+        arrays, meta = point.point_record(point.compute())
         real = worker_mod.LeaseManager
 
         class RacingManager(real):
             def try_claim(self, digest):
                 lease = real.try_claim(self, digest)
                 if lease is not None:
-                    store.write_record(digest, out["arrays"], out["meta"])
+                    store.write_record(digest, arrays, meta)
                 return lease
 
         monkeypatch.setattr(worker_mod, "LeaseManager", RacingManager)

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-import repro.serve.service as serve_service_mod
+import repro.scenario.runner as scenario_runner_mod
 from repro.serve import BackgroundServer, ScenarioService, record_body
 from repro.store import ResultStore
 
@@ -132,7 +132,7 @@ class TestRoutes:
         def explode(*args, **kwargs):
             raise RuntimeError("injected kernel failure")
 
-        monkeypatch.setattr(serve_service_mod, "run_trials", explode)
+        monkeypatch.setattr(scenario_runner_mod, "run_trials", explode)
         service = ScenarioService(ResultStore(tmp_path), workers=1)
         with BackgroundServer(service) as server:
             status, raw = call(server.port, "POST", "/scenarios", body_for(0.03))

@@ -46,7 +46,7 @@ class TestNormalization:
         )
         assert list(a.params) == ["algorithm.gamma", "demand.k"]
         assert a.digest() == b.digest()
-        assert a.label() == "algorithm.gamma=0.03,demand.k=8"
+        assert a.job.label == "algorithm.gamma=0.03,demand.k=8"
 
     def test_round_trip_through_dict(self):
         request = ScenarioRequest(
@@ -82,8 +82,8 @@ class TestNormalization:
     def test_run_params_merge_over_spec_run_params(self):
         spec = tiny_spec(run_params={"burn_in": 10})
         request = ScenarioRequest(spec=spec, run_params={"burn_in": 20})
-        assert request.merged_run_params() == {"burn_in": 20}
-        assert ScenarioRequest(spec=spec).merged_run_params() == {"burn_in": 10}
+        assert request.job.run_params == {"burn_in": 20}
+        assert ScenarioRequest(spec=spec).job.run_params == {"burn_in": 10}
 
 
 class TestDigestInterop:
@@ -119,8 +119,8 @@ class TestDigestInterop:
 
     def test_bare_request_cannot_alias_a_sweep_point(self):
         bare = ScenarioRequest(spec=tiny_spec(), trials=2)
-        assert bare.coordinate() == ("", None)
-        assert bare.label() == tiny_spec().describe()
+        assert bare.job.key == ("", None)
+        assert bare.job.label == tiny_spec().describe()
         swept = ScenarioRequest(
             spec=tiny_spec(), params={"algorithm.gamma": 0.025}, trials=2
         )

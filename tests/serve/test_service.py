@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-import repro.serve.service as serve_service_mod
+import repro.scenario.runner as scenario_runner_mod
 from repro.exceptions import ServiceBusy
 from repro.scenario import ScenarioSpec, sweep_scenario
 from repro.sched.leases import LeaseManager
@@ -43,12 +43,13 @@ def request_for(gamma: float, trials: int = 2) -> ScenarioRequest:
 
 
 class RunTrialsSpy:
-    """Counts (and optionally slows) the service's kernel executions."""
+    """Counts (and optionally slows) the service's kernel executions
+    (``PointJob.compute``'s ``run_trials`` call)."""
 
     def __init__(self, monkeypatch, delay: float = 0.0):
         self.calls = 0
         self.delay = delay
-        real = serve_service_mod.run_trials
+        real = scenario_runner_mod.run_trials
 
         def counted(*args, **kwargs):
             self.calls += 1
@@ -56,7 +57,7 @@ class RunTrialsSpy:
                 time.sleep(self.delay)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(serve_service_mod, "run_trials", counted)
+        monkeypatch.setattr(scenario_runner_mod, "run_trials", counted)
 
 
 class TestComputeAndDedup:
@@ -137,7 +138,7 @@ class TestBackPressureAndFailures:
         def explode(*args, **kwargs):
             raise RuntimeError("injected kernel failure")
 
-        monkeypatch.setattr(serve_service_mod, "run_trials", explode)
+        monkeypatch.setattr(scenario_runner_mod, "run_trials", explode)
         service = ScenarioService(ResultStore(tmp_path), workers=1)
         with service:
             digest, _ = service.submit(request_for(0.03))
@@ -148,7 +149,7 @@ class TestBackPressureAndFailures:
             # with the real kernel restored.
             from repro.sim.runner import run_trials as real_run_trials
 
-            monkeypatch.setattr(serve_service_mod, "run_trials", real_run_trials)
+            monkeypatch.setattr(scenario_runner_mod, "run_trials", real_run_trials)
             digest2, disposition = service.submit(request_for(0.03))
             assert digest2 == digest and disposition == "queued"
             wait_for(lambda: service.state_of(digest) == "committed")

@@ -1,4 +1,4 @@
-"""Tests for the multi-trial runner and sweeps."""
+"""Tests for the multi-trial runner and sweep summaries."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.env.feedback import SigmoidFeedback
 from repro.exceptions import ConfigurationError
 from repro.sim.counting import CountingSimulator
 from repro.sim.engine import Simulator
-from repro.sim.runner import TrialRunner, run_trials, sweep
+from repro.sim.runner import SweepResult, run_trials
 
 _DEMAND = uniform_demands(n=1000, k=2)
 _LAM = lambda_for_critical_value(_DEMAND, gamma_star=0.05)
@@ -174,50 +174,21 @@ class TestPicklableProbe:
 
 class TestSweep:
     def test_series_and_table(self):
-        result = sweep(
-            "gamma",
-            [0.03, 0.0625],
-            _factory_for_gamma,
-            rounds=200,
-            trials=2,
-            seed=0,
-            gamma_star_for=lambda g: 0.05,
-            total_demand=_DEMAND.total,
-        )
+        values = [0.03, 0.0625]
+        summaries = [
+            run_trials(
+                _factory_for_gamma(gamma),
+                200,
+                2,
+                seed=0,
+                label=f"gamma={gamma}",
+                gamma_star=0.05,
+                total_demand=_DEMAND.total,
+                params={"gamma": gamma},
+            )
+            for gamma in values
+        ]
+        result = SweepResult("gamma", values, summaries)
         assert result.series().shape == (2,)
         assert "gamma" in result.table()
         assert result.summaries[0].params == {"gamma": 0.03}
-
-    def test_rejects_empty_values(self):
-        with pytest.raises(ConfigurationError):
-            sweep("x", [], _factory_for_gamma, rounds=10, trials=1)
-
-    def test_sweep_reproducible(self):
-        kwargs = dict(rounds=60, trials=2, seed=7)
-        a = sweep("gamma", [0.03, 0.0625], _factory_for_gamma, **kwargs)
-        b = sweep("gamma", [0.03, 0.0625], _factory_for_gamma, **kwargs)
-        np.testing.assert_array_equal(a.series(), b.series())
-
-    def test_no_seed_aliasing_across_sweep_roots(self):
-        # Regression: with the old ``seed + i`` derivation, point i of a
-        # seed-s sweep shared every trial seed with point i-1 of a
-        # seed-(s+1) sweep, so the same swept value produced identical
-        # trials in supposedly independent sweeps.
-        value = [0.0625, 0.0625]  # same config at every point
-        s0 = sweep("gamma", value, _factory_for_gamma, rounds=60, trials=2, seed=0)
-        s1 = sweep("gamma", value, _factory_for_gamma, rounds=60, trials=2, seed=1)
-        # Old scheme: s1 point 0 == s0 point 1 exactly.  Now independent.
-        assert not np.array_equal(
-            s1.summaries[0].average_regrets, s0.summaries[1].average_regrets
-        )
-        # And distinct points within one sweep stay distinct too.
-        assert not np.array_equal(
-            s0.summaries[0].average_regrets, s0.summaries[1].average_regrets
-        )
-
-
-class TestTrialRunner:
-    def test_run_with_overrides(self):
-        r = TrialRunner(_factory, rounds=50, trials=2, seed=0)
-        s = r.run(rounds=30, label="short")
-        assert s.rounds == 30 and s.label == "short"
