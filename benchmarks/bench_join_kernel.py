@@ -13,14 +13,11 @@ Both modes assert the acceptance criteria accumulated so far: the
 exact (Gauss-Legendre quadrature) kernel is >= 10x faster than subset
 enumeration at k = 12; an exact counting run at k = 64 (impossible
 under the old ``2^k`` enumerator) completes, and so does one at
-k = 8192; a shared cross-trial pi cache amortizes kernel work across
-the trials of a multi-trial scenario run; and a persistent
-:class:`~repro.store.DiskPiCache` tier lets a *second session* on the
-same machine replace kernel calls with memory-mapped reads of the first
-session's distributions (``cross_session_amortization``).  The
-``kernel`` rows time the one kernel from k = 12 to k = 8192 (the
-sub-millisecond k = 12 and k = 64 calls in samples of many calls); the
-regression gate holds each to its recorded time.
+k = 8192; and a shared cross-trial pi cache amortizes kernel work
+across the trials of a multi-trial scenario run.  The ``kernel`` rows
+time the one kernel from k = 12 to k = 8192 (the sub-millisecond
+k = 12 and k = 64 calls in samples of many calls); the regression gate
+holds each to its recorded time.
 
 The JSON record also carries a ``floors`` table mapping dotted record
 paths to the minimum acceptable value of each speedup ratio; the CI
@@ -33,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import tempfile
 
 import numpy as np
 
@@ -45,7 +41,6 @@ from repro.obs import monotonic as obs_monotonic
 from repro.scenario import ScenarioSpec, run_scenario
 from repro.sim.counting import CountingSimulator
 from repro.sim.pi_cache import SharedPiCache
-from repro.store import DiskPiCache
 from repro.util.mathx import enumerate_subset_join_probabilities, exact_join_probabilities
 
 SPEEDUP_FLOOR = 10.0  # required kernel speedup over enumeration at k = 12
@@ -59,15 +54,6 @@ SHARED_CACHE_SPEEDUP_FLOOR = 0.8
 #: work.  Unlike the wall-time ratio this is structural (it depends only
 #: on the trajectories, not the machine), so the regression gate pins it.
 SHARED_CACHE_AMORTIZATION_FLOOR = 0.05
-#: In a *second session* against the same DiskPiCache, every signature
-#: the first session computed is on disk, so the fraction of
-#: memory-missing lookups served from disk is structurally ~1.0 — the
-#: floor leaves room only for pathological cache interleavings.
-CROSS_SESSION_AMORTIZATION_FLOOR = 0.9
-#: The second session replaces kernel calls with mmap'd file reads, so
-#: it must at minimum not be slower (wall-time floors stay conservative
-#: on noisy CI machines; the structural guarantee is the amortization).
-CROSS_SESSION_SPEEDUP_FLOOR = 0.8
 ENUM_K = 12
 KERNEL_KS = (12, 64, 256, 1024, 8192)
 #: Kernel sizes whose single call takes well under a millisecond: each
@@ -251,59 +237,6 @@ def _shared_cache_comparison() -> dict:
     }
 
 
-def _cross_session_comparison() -> dict:
-    """Run the same multi-trial scenario in two simulated *sessions*
-    sharing one on-disk pi cache (fresh in-memory tiers each, as two
-    processes on one machine would have); assert bit-identical results
-    and that the second session is served from disk instead of paying
-    the kernel again."""
-    spec = _shared_sweep_spec()
-    with tempfile.TemporaryDirectory() as tmp:
-        first_cache = SharedPiCache(disk=DiskPiCache(tmp))
-        t0 = obs_monotonic()
-        first = run_scenario(
-            spec, trials=SHARED_SWEEP_TRIALS, keep_results=False, shared_pi_cache=first_cache
-        )
-        t_first = obs_monotonic() - t0
-        assert first_cache.disk.writes > 0
-
-        second_cache = SharedPiCache(disk=DiskPiCache(tmp))
-        t0 = obs_monotonic()
-        second = run_scenario(
-            spec, trials=SHARED_SWEEP_TRIALS, keep_results=False, shared_pi_cache=second_cache
-        )
-        t_second = obs_monotonic() - t0
-
-    assert np.array_equal(first.average_regrets, second.average_regrets), (
-        "disk-cache-served session is not bit-identical to the cold session"
-    )
-    assert second_cache.disk_hits > 0, "second session never hit the disk cache"
-    amortized = second_cache.disk_hits / (second_cache.disk_hits + second_cache.misses)
-    assert amortized >= CROSS_SESSION_AMORTIZATION_FLOOR, (
-        f"disk pi cache amortized only {amortized:.1%} of second-session lookups"
-    )
-    speedup = t_first / t_second
-    assert speedup >= CROSS_SESSION_SPEEDUP_FLOOR, (
-        f"disk pi cache slowed the second session down ({speedup:.2f}x)"
-    )
-    return {
-        "k": SHARED_SWEEP_K,
-        "trials": SHARED_SWEEP_TRIALS,
-        "rounds": SHARED_SWEEP_ROUNDS,
-        "first_session_seconds": t_first,
-        "second_session_seconds": t_second,
-        "second_session_speedup": speedup,
-        "disk_entries_written": first_cache.disk.writes,
-        "second_session_disk_hits": second_cache.disk_hits,
-        "second_session_kernel_misses": second_cache.misses,
-        "cross_session_amortization": amortized,
-    }
-
-
-def test_disk_pi_cache_amortizes_across_sessions():
-    _cross_session_comparison()
-
-
 def test_counting_engine_k8192_exact_run():
     row = _xl_engine_run()
     assert row["rounds"] == XL_ENGINE_ROUNDS
@@ -352,13 +285,6 @@ def collect() -> dict:
     record["counting_engine_xl"] = {f"k={XL_ENGINE_K}": _xl_engine_run()}
     record["shared_pi_cache_sweep"] = {f"k={SHARED_SWEEP_K}": _shared_cache_comparison()}
 
-    # Cross-session amortization: a second "session" (fresh in-memory
-    # caches, same DiskPiCache root) replaces kernel work with mmap'd
-    # reads of the distributions the first session persisted.
-    record["disk_pi_cache_cross_session"] = {
-        f"k={SHARED_SWEEP_K}": _cross_session_comparison()
-    }
-
     # Floors consumed by benchmarks/check_regression.py: dotted record
     # paths -> minimum acceptable value in a fresh CI run.
     record["floors"] = {
@@ -366,12 +292,6 @@ def collect() -> dict:
         f"shared_pi_cache_sweep.k={SHARED_SWEEP_K}.speedup": SHARED_CACHE_SPEEDUP_FLOOR,
         f"shared_pi_cache_sweep.k={SHARED_SWEEP_K}.cross_trial_amortization": (
             SHARED_CACHE_AMORTIZATION_FLOOR
-        ),
-        f"disk_pi_cache_cross_session.k={SHARED_SWEEP_K}.cross_session_amortization": (
-            CROSS_SESSION_AMORTIZATION_FLOOR
-        ),
-        f"disk_pi_cache_cross_session.k={SHARED_SWEEP_K}.second_session_speedup": (
-            CROSS_SESSION_SPEEDUP_FLOOR
         ),
     }
     return record
@@ -398,14 +318,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{sh['speedup']:.2f}x, {sh['shared_cache_hits']} shared hits / "
         f"{sh['shared_cache_misses']} misses "
         f"({100 * sh['cross_trial_amortization']:.0f}% amortized)"
-    )
-    cs = record["disk_pi_cache_cross_session"][f"k={SHARED_SWEEP_K}"]
-    print(
-        f"disk pi cache second session at k={SHARED_SWEEP_K}: "
-        f"{cs['second_session_speedup']:.2f}x end to end, "
-        f"{cs['second_session_disk_hits']} disk hits / "
-        f"{cs['second_session_kernel_misses']} kernel misses "
-        f"({100 * cs['cross_session_amortization']:.0f}% amortized across sessions)"
     )
     print(f"wrote {args.json}")
     return 0

@@ -73,7 +73,6 @@ WORKER_COUNTS = (2, 4)
 #: Short TTL keeps the benchmark honest about heartbeat traffic; no
 #: lease ever actually goes stale here (points take ~100 ms).
 BENCH_TTL = 10.0
-BENCH_POLL = 0.02
 
 
 class _PacedSimulator:
@@ -141,9 +140,7 @@ def _drain(grid: GridSpec, root: Path, workers: int) -> tuple[float, ResultStore
     """Drain ``grid`` into a fresh store; returns (seconds, store)."""
     store = ResultStore(root)
     t0 = obs_monotonic()
-    status = run_grid(
-        store, grid, workers=workers, ttl=BENCH_TTL, poll=BENCH_POLL
-    )
+    status = run_grid(store, grid, workers=workers, ttl=BENCH_TTL)
     elapsed = obs_monotonic() - t0
     assert status["done"], f"{workers}-worker drain left the grid unfinished: {status}"
     return elapsed, store

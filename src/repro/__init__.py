@@ -51,7 +51,7 @@ Layout
 ``repro.sim``         simulation engines, metrics, multi-trial runner
 ``repro.scenario``    declarative specs, registries, ``run_scenario``
 ``repro.store``       disk-backed result store: resumable sweeps,
-                      persistent join-kernel caches
+                      grids and served points
 ``repro.automaton``   finite-state-machine substrate (Assumption 2.2,
                       Theorem 3.3 memory-bounded algorithm family)
 ``repro.analysis``    statistics, oscillation detection, theorem bounds
@@ -69,7 +69,7 @@ from repro.exceptions import (
     SweepInterrupted,
     AnalysisError,
 )
-from repro.store import DiskPiCache, ResultStore
+from repro.store import ResultStore
 from repro.env import (
     make_feedback,
     make_demand,
@@ -158,7 +158,6 @@ __all__ = [
     "AnalysisError",
     # store
     "ResultStore",
-    "DiskPiCache",
     # env
     "DemandVector",
     "DemandSchedule",

@@ -18,9 +18,9 @@ Usage::
     repro-experiments store gc <dir> [--max-age SECONDS] [--grace SECONDS]
     repro-experiments sched run <file.json> --store DIR
         --axis algorithm.gamma=0.01,0.02 [--axis feedback.p_fail=0.05,0.1]
-        [--trials T] [--rounds N] [--workers W] [--ttl S] [--poll S]
+        [--trials T] [--rounds N] [--workers W] [--ttl S]
         [--shared-pi-cache] [--init-only] [--json]
-    repro-experiments sched work <dir> [--grid DIGEST] [--ttl S] [--poll S]
+    repro-experiments sched work <dir> [--grid DIGEST] [--ttl S]
         [--max-points N] [--shared-pi-cache] [--worker-id ID]
     repro-experiments sched status <dir> [--grid DIGEST] [--ttl S] [--json]
     repro-experiments serve <dir> [--workers N] [--port P] [--host H]
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssweep.add_argument(
         "--shared-pi-cache",
         action="store_true",
-        help="share join-kernel work across trials/points (persistent with --store)",
+        help="share join-kernel work across trials and points (in memory)",
     )
     ssweep.add_argument(
         "--max-points",
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="also evict pi-cache entries and break lease files older than this",
+        help="also break lease files older than this",
     )
     sgc.add_argument(
         "--grace",
@@ -198,11 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=0, help="local worker processes (0 = in-process)"
     )
     screate.add_argument("--ttl", type=float, default=60.0, help="lease TTL seconds")
-    screate.add_argument("--poll", type=float, default=0.2, help="idle poll seconds")
     screate.add_argument(
         "--shared-pi-cache",
         action="store_true",
-        help="share join-kernel work across points (disk tier inside the store)",
+        help="share join-kernel work across each worker's points (in memory)",
     )
     screate.add_argument(
         "--init-only",
@@ -217,14 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     swork.add_argument("root", help="store root directory holding the grid")
     swork.add_argument("--grid", default=None, help="grid digest (optional if unambiguous)")
     swork.add_argument("--ttl", type=float, default=60.0, help="lease TTL seconds")
-    swork.add_argument("--poll", type=float, default=0.2, help="idle poll seconds")
     swork.add_argument(
         "--max-points", type=int, default=None, help="exit after computing N points"
     )
     swork.add_argument(
         "--shared-pi-cache",
         action="store_true",
-        help="share join-kernel work across points (disk tier inside the store)",
+        help="share join-kernel work across each worker's points (in memory)",
     )
     swork.add_argument("--worker-id", default=None, help="label recorded in lease files")
     swork.add_argument(
@@ -251,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     servep.add_argument(
         "--shared-pi-cache",
         action="store_true",
-        help="share join-kernel work across requests (disk tier inside the store)",
+        help="share join-kernel work across each worker thread's requests (in memory)",
     )
     obsp = sub.add_parser("obs", help="observability tooling (repro.obs)")
     obssub = obsp.add_subparsers(dest="obs_command", required=True)
@@ -510,7 +508,6 @@ def _sched_main(args: argparse.Namespace) -> int:
                 grid,
                 workers=args.workers,
                 ttl=args.ttl,
-                poll=args.poll,
                 shared_pi_cache=args.shared_pi_cache,
                 progress=progress,
             )
@@ -528,7 +525,6 @@ def _sched_main(args: argparse.Namespace) -> int:
                 store,
                 grid,
                 ttl=args.ttl,
-                poll=args.poll,
                 shared_pi_cache=args.shared_pi_cache,
                 max_points=args.max_points,
                 worker_id=args.worker_id,

@@ -234,8 +234,8 @@ def run_e16_spectrum_skew(scale: str = "full", seed: int = 0) -> ExperimentResul
     set, so re-invocations across sessions are free; a temp directory
     otherwise) and the whole figure is then *re-rendered* from the store
     — asserting that the second pass computes nothing and changes
-    nothing.  The join kernels behind the points share one persistent
-    pi cache living in the same store.
+    nothing.  Each sweep call shares one in-memory join-kernel cache
+    across its trials.
     """
     quick = scale == "quick"
     k = 32 if quick else 64

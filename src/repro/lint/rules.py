@@ -336,8 +336,8 @@ class AtomicWriteRule(Rule):
     A direct ``open(path, "w")`` under the store packages can be seen
     half-written by a concurrent reader or survive a crash as a corrupt
     record.  Only the sanctioned helper modules (``records.py``,
-    ``locks.py``, ``pi_disk.py``) implement raw writes; everything else
-    must publish bytes through their atomic helpers.
+    ``locks.py``) implement raw writes; everything else must publish
+    bytes through their atomic helpers.
     """
 
     rule_id = "RPR004"
@@ -347,7 +347,6 @@ class AtomicWriteRule(Rule):
     HELPER_MODULES = (
         "repro/store/records.py",
         "repro/store/locks.py",
-        "repro/store/pi_disk.py",
         # The tracer appends whole O_APPEND lines (the reclaim-log
         # protocol) — it is obs's sanctioned raw-write module.
         "repro/obs/trace.py",

@@ -23,7 +23,7 @@ from repro.store.digest import canonical_json
 __all__ = ["load_trace", "render_json", "render_text", "report_payload", "trace_report"]
 
 #: Counter keys the engines put on every ``pi_cache_stats`` event.
-_CACHE_TIERS = ("local_hits", "shared_hits", "disk_hits", "misses")
+_CACHE_TIERS = ("local_hits", "shared_hits", "misses")
 
 
 def load_trace(path: str | Path) -> tuple[list[dict[str, object]], int]:
@@ -181,7 +181,7 @@ def render_text(payload: dict[str, object]) -> str:
         "pi-cache: "
         f"lookups={cache['lookups']} hit_ratio={hit_ratio:.4f} "
         f"local={cache['local_hits']} shared={cache['shared_hits']} "
-        f"disk={cache['disk_hits']} misses={cache['misses']} "
+        f"misses={cache['misses']} "
         f"(over {cache['runs']} runs)"
     )
     return "\n".join(lines) + "\n"

@@ -485,10 +485,9 @@ def sweep_scenario(
     deficit signatures amortize the kernel across trials); passing a
     :class:`~repro.sim.pi_cache.SharedPiCache` instance instead lets the
     caller inspect its hit statistics afterwards.  Either way the sweep
-    statistics are bit-identical to an uncached sweep.  When a ``store``
-    is also given, ``shared_pi_cache=True`` roots the cache's persistent
-    disk tier inside the store, so join-kernel work is amortized across
-    sweeps and sessions, not just trials.
+    statistics are bit-identical to an uncached sweep.  The cache lives
+    in memory for the sweep's duration; a store-backed sweep persists
+    records, not join distributions.
 
     Store-backed sweeps (``store=`` a :class:`~repro.store.ResultStore`
     or directory path) persist every completed point as an atomic record
@@ -536,8 +535,7 @@ def sweep_scenario(
             )
 
     if shared_pi_cache is True:
-        disk = store.pi_cache() if store is not None else None
-        shared_pi_cache = SharedPiCache(disk=disk)
+        shared_pi_cache = SharedPiCache()
     elif shared_pi_cache is False:
         shared_pi_cache = None
 

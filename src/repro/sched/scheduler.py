@@ -14,10 +14,12 @@ reclaim).  It does four things:
   died).
 * :func:`run_grid` drives a complete run: ``workers=0`` drains the grid
   in-process (no multiprocessing, the fully deterministic path);
-  ``workers=N`` spawns N local worker processes and polls the frontier
-  for live progress reporting.  Orchestration is *stateless* — killing
-  the orchestrator (or any worker) and re-running resumes exactly
-  where the committed frontier stopped.
+  ``workers=N`` spawns N local worker processes and re-reads the
+  frontier whenever one exits (and every ``progress_interval`` for live
+  progress reporting), so a drain returns as soon as its last point
+  commits.  Orchestration is *stateless* — killing the orchestrator (or
+  any worker) and re-running resumes exactly where the committed
+  frontier stopped.
 * :func:`collect_grid` loads every committed record back into
   :class:`TrialSummary` objects once the frontier is drained.
 """
@@ -25,8 +27,8 @@ reclaim).  It does four things:
 from __future__ import annotations
 
 import multiprocessing
-import time
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any, Callable
 
@@ -162,21 +164,13 @@ def _worker_main(
     root: str,
     grid_digest: str,
     ttl: float,
-    poll: float,
     shared_pi_cache: bool,
     worker_id: str,
 ) -> None:
     """Entry point of a spawned worker process (module-level: picklable)."""
     store = ResultStore(root)
     grid = load_grid(store, grid_digest)
-    run_worker(
-        store,
-        grid,
-        ttl=ttl,
-        poll=poll,
-        shared_pi_cache=shared_pi_cache,
-        worker_id=worker_id,
-    )
+    run_worker(store, grid, ttl=ttl, shared_pi_cache=shared_pi_cache, worker_id=worker_id)
 
 
 def run_grid(
@@ -185,7 +179,6 @@ def run_grid(
     *,
     workers: int = 0,
     ttl: float = DEFAULT_LEASE_TTL,
-    poll: float = 0.2,
     shared_pi_cache: bool = False,
     progress: Callable[[dict[str, Any]], None] | None = None,
     progress_interval: float = 0.5,
@@ -195,8 +188,12 @@ def run_grid(
     ``workers=0`` drains the frontier in this process — the
     deterministic, debuggable path.  ``workers=N`` spawns N local
     worker processes (the multi-machine analogue is N ``sched work``
-    invocations against the same directory) and polls the frontier,
-    invoking ``progress`` with each status snapshot.
+    invocations against the same directory) and waits on them, reading
+    the frontier each time a worker exits and at least every
+    ``progress_interval`` seconds, invoking ``progress`` with each
+    status snapshot.  A worker exits only once every point is committed
+    (or when it crashes), so the drain ends with the first exit after
+    the last commit.
 
     Raises :class:`SchedulerError` if every worker exits while points
     remain uncommitted and unleased (e.g. all workers crashed) — the
@@ -206,9 +203,7 @@ def run_grid(
     init_grid(store, grid)
 
     if workers <= 0:
-        stats = run_worker(
-            store, grid, ttl=ttl, poll=poll, shared_pi_cache=shared_pi_cache
-        )
+        stats = run_worker(store, grid, ttl=ttl, shared_pi_cache=shared_pi_cache)
         status = grid_status(store, grid, ttl=ttl)
         status["computed"] = stats.computed
         if progress is not None:
@@ -226,27 +221,24 @@ def run_grid(
     procs = [
         ctx.Process(
             target=_worker_main,
-            args=(str(store.root), grid_digest, ttl, poll, shared_pi_cache, f"w{i}"),
+            args=(str(store.root), grid_digest, ttl, shared_pi_cache, f"w{i}"),
             name=f"sched-worker-{i}",
         )
         for i in range(workers)
     ]
     for proc in procs:
         proc.start()
+    live = list(procs)
     try:
         while True:
             status = grid_status(store, grid, ttl=ttl)
             if progress is not None:
                 progress(status)
             if status["done"]:
-                break
-            if not any(proc.is_alive() for proc in procs):
-                # All workers exited with work left: either they
-                # crashed, or they finished and a racing commit landed
-                # after our snapshot — re-check before declaring failure.
-                status = grid_status(store, grid, ttl=ttl)
-                if status["done"]:
-                    break
+                return status
+            if not live:
+                # Every worker had exited before this snapshot, so no
+                # commit can still land: they crashed with work left.
                 raise SchedulerError(
                     f"all {workers} workers exited with "
                     f"{status['pending'] + status['leased']} point(s) "
@@ -254,17 +246,16 @@ def run_grid(
                     f"{[proc.exitcode for proc in procs]}); the committed "
                     "frontier is preserved — re-run to resume"
                 )
-            time.sleep(progress_interval)
+            # An exited worker's sentinel stays ready: wait on the live
+            # ones only, or one early exit would turn this into a spin.
+            ready = wait([proc.sentinel for proc in live], timeout=progress_interval)
+            live = [proc for proc in live if proc.sentinel not in ready]
     finally:
         for proc in procs:
             proc.join(timeout=30.0)
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join()
-    status = grid_status(store, grid, ttl=ttl)
-    if progress is not None:
-        progress(status)
-    return status
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The worker loop: claim a pending grid point, execute, commit, repeat.
 
 One invocation of :func:`run_worker` drains as much of a grid's
-frontier as it can get leases for.  The loop per pass over the points:
+frontier as it can get leases for.  Each pass visits only the points
+the previous pass left outstanding (denied a lease); a pass that claims
+nothing sleeps :data:`IDLE_SLEEP_S` before the next.  Per point:
 
 1. **Skip** points whose record is already committed (the store is the
    single source of truth — a lease is only ever an optimization to
@@ -43,7 +45,11 @@ from repro.store import ResultStore
 from repro.sched.grid import GridSpec
 from repro.sched.leases import DEFAULT_LEASE_TTL, LeaseManager
 
-__all__ = ["WorkerStats", "run_worker"]
+__all__ = ["IDLE_SLEEP_S", "WorkerStats", "run_worker"]
+
+#: Sleep after a pass that claimed nothing: every outstanding point is
+#: leased by a live peer, which commits or goes stale in its own time.
+IDLE_SLEEP_S = 0.01
 
 
 @dataclass
@@ -62,7 +68,6 @@ def run_worker(
     grid: GridSpec,
     *,
     ttl: float = DEFAULT_LEASE_TTL,
-    poll: float = 0.2,
     shared_pi_cache: SharedPiCache | bool | None = None,
     max_points: int | None = None,
     worker_id: str | None = None,
@@ -71,16 +76,14 @@ def run_worker(
 
     Returns once every point of ``grid`` has a committed record in
     ``store`` (some computed here, some by other workers), or after
-    committing ``max_points`` new points.  ``poll`` is the idle sleep
-    while waiting on points other workers hold leases for; the lease
-    heartbeat fires every ``ttl / 4`` seconds.  ``shared_pi_cache=True``
-    attaches a cross-point join kernel cache whose disk tier lives
-    inside the store.
+    committing ``max_points`` new points.  The lease heartbeat fires
+    every ``ttl / 4`` seconds.  ``shared_pi_cache=True`` attaches one
+    in-memory join-kernel cache across the points this worker computes.
     """
     store = ResultStore.coerce(store)
     pi_cache: SharedPiCache | None
     if shared_pi_cache is True:
-        pi_cache = SharedPiCache(disk=store.pi_cache())
+        pi_cache = SharedPiCache()
     elif isinstance(shared_pi_cache, SharedPiCache):
         pi_cache = shared_pi_cache
     else:
@@ -97,17 +100,18 @@ def run_worker(
     }
     point_seconds = registry.histogram("repro_sched_point_seconds")
 
-    while True:
-        outstanding = 0
+    outstanding = list(grid.points())
+    while outstanding:
+        denied = []
         progressed = False
-        for job in grid.points():
+        for job in outstanding:
             if store.has_record(job.digest):
                 continue
-            outstanding += 1
             lease = manager.try_claim(job.digest)
             if lease is None:
                 stats.lease_denied += 1
                 outcomes["lease_denied"].inc()
+                denied.append(job)
                 continue
             try:
                 # The reclaimed holder may have committed after our
@@ -138,9 +142,9 @@ def run_worker(
                 lease.release()
             if max_points is not None and stats.computed >= max_points:
                 return stats
-        if outstanding == 0:
-            return stats
-        if not progressed:
+        outstanding = denied
+        if outstanding and not progressed:
             # Everything pending is leased by live workers — wait for
             # them to commit (or for their heartbeats to go stale).
-            time.sleep(poll)
+            time.sleep(IDLE_SLEEP_S)
+    return stats

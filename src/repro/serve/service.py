@@ -106,8 +106,8 @@ class ScenarioService:
     max_pending:
         Back-pressure threshold for :meth:`submit`.
     shared_pi_cache:
-        ``True`` attaches per-worker join-kernel caches whose disk tier
-        lives inside the store (hot across requests and processes).
+        ``True`` gives each worker thread one in-memory join-kernel
+        cache, kept across the requests it computes.
     """
 
     def __init__(
@@ -278,9 +278,8 @@ class ScenarioService:
             ttl=self.ttl,
             worker_id=f"serve-{index}",
         )
-        # Per-thread cache handle: the in-memory tier stays
-        # single-threaded, the disk tier is shared and process-safe.
-        pi_cache = SharedPiCache(disk=self.store.pi_cache()) if self._use_pi_cache else None
+        # One cache per thread: SharedPiCache is not thread-safe.
+        pi_cache = SharedPiCache() if self._use_pi_cache else None
         while True:
             digest = self._queue.get()
             if digest is None:

@@ -30,11 +30,12 @@ The vectorization win comes from the shared per-round math plus
 **cross-lane signature deduplication**: the batch adopts its first
 lane's :class:`~repro.sim.counting.JoinDistributionCache`, so a
 mark-probability signature appearing in several lanes the same round
-(or any round) pays for at most one kernel call, with the usual
-shared/disk tiers behind it.  Deduplicated kernel calls stay scalar per
-*distinct* signature on purpose: stacking signatures with different
-active sets would change the quadrature's summation order and break
-bit-identity with the scalar kernel.
+(or any round) pays for at most one kernel call, with the optional
+cross-trial :class:`~repro.sim.pi_cache.SharedPiCache` behind it.
+Deduplicated kernel calls stay scalar per *distinct* signature on
+purpose: stacking signatures with different active sets would change
+the quadrature's summation order and break bit-identity with the
+scalar kernel.
 
 At B = 1 there is nothing to share, so every step takes its cheapest
 exact form: draws go straight to the lane's ``Generator.binomial`` (the

@@ -90,14 +90,12 @@ class JoinDistributionCache:
     cross-trial signature deduplication batching exists for, and keeps a
     one-lane run's cache warm across repeated runs.  Lookup order is the
     local dict (FIFO-bounded by :data:`PI_CACHE_MAX_ENTRIES`), then the
-    optional cross-trial :class:`~repro.sim.pi_cache.SharedPiCache`
-    (memory then disk tier), then the kernel itself; fresh results are
-    published back to both layers.  Keys are the byte image of the
-    mark-probability vector ``u`` (shared-cache keys additionally pin
-    the numerics tag, :data:`~repro.sim.pi_cache.PI_KEY_TAG`), so stale
-    reuse is structurally impossible.  Per-tier hit/miss counters live
-    here; engines expose them and :meth:`reset_stats` rewinds them at
-    each run.
+    optional cross-trial :class:`~repro.sim.pi_cache.SharedPiCache`,
+    then the kernel itself; fresh results are published back to both
+    tiers.  Both key on the byte image of the mark-probability vector
+    ``u``, so stale reuse is structurally impossible.  Per-tier hit/miss
+    counters live here; engines expose them and :meth:`reset_stats`
+    rewinds them at each run.
     """
 
     def __init__(self, *, enabled: bool, shared: SharedPiCache | None) -> None:
@@ -106,7 +104,6 @@ class JoinDistributionCache:
         self._local: dict[bytes, np.ndarray] = {}
         self.local_hits = 0
         self.shared_hits = 0
-        self.disk_hits = 0
         self.misses = 0
         # Cumulative process-wide instruments (never reset): the per-run
         # ints above remain the engines' per-run stats view, the bound
@@ -115,7 +112,7 @@ class JoinDistributionCache:
         registry = get_registry()
         self._obs_tiers = {
             tier: registry.counter("repro_pi_cache_lookups_total", tier=tier)
-            for tier in ("local", "shared", "disk", "miss")
+            for tier in ("local", "shared", "miss")
         }
         self._obs_kernel_seconds = registry.histogram(
             "repro_join_kernel_seconds", method="quadrature"
@@ -126,20 +123,18 @@ class JoinDistributionCache:
         they are content-addressed, so reuse across runs is correct)."""
         self.local_hits = 0
         self.shared_hits = 0
-        self.disk_hits = 0
         self.misses = 0
 
     @property
     def hits(self) -> int:
-        """Total hits (local + shared + disk) since the last reset."""
-        return self.local_hits + self.shared_hits + self.disk_hits
+        """Total hits (local + shared) since the last reset."""
+        return self.local_hits + self.shared_hits
 
     def stats(self) -> dict[str, int]:
         """The per-run tier counters as a plain dict (compat/trace view)."""
         return {
             "local_hits": self.local_hits,
             "shared_hits": self.shared_hits,
-            "disk_hits": self.disk_hits,
             "misses": self.misses,
         }
 
@@ -153,24 +148,18 @@ class JoinDistributionCache:
             self.local_hits += 1
             self._obs_tiers["local"].inc()
             return pi
-        shared_key = None
         if self.shared is not None:
-            shared_key = SharedPiCache.key(u)
-            pi, tier = self.shared.fetch(shared_key)
+            pi = self.shared.fetch(key)
             if pi is not None:
-                if tier == "disk":
-                    self.disk_hits += 1
-                    self._obs_tiers["disk"].inc()
-                else:
-                    self.shared_hits += 1
-                    self._obs_tiers["shared"].inc()
+                self.shared_hits += 1
+                self._obs_tiers["shared"].inc()
                 self._store_local(key, pi)
                 return pi
         self.misses += 1
         self._obs_tiers["miss"].inc()
         pi = self._run_kernel(u)
-        if shared_key is not None:
-            pi = self.shared.put(shared_key, pi)
+        if self.shared is not None:
+            pi = self.shared.put(key, pi)
         self._store_local(key, pi)
         return pi
 
@@ -199,10 +188,8 @@ class JoinCacheStats:
     """Per-run ``pi_cache_*`` views of an engine's :class:`JoinDistributionCache`.
 
     :attr:`pi_cache_local_hits` counts lookups served by the engine's own
-    cache, :attr:`pi_cache_shared_hits` those served by the shared
-    cache's memory tier, :attr:`pi_cache_disk_hits` those served by its
-    persistent :class:`~repro.store.pi_disk.DiskPiCache` tier (kernel
-    work paid for in an earlier process or session), and
+    cache, :attr:`pi_cache_shared_hits` those served by the cross-trial
+    :class:`~repro.sim.pi_cache.SharedPiCache`, and
     :attr:`pi_cache_misses` the lookups that actually ran the kernel;
     :attr:`pi_cache_hits` is their hit total.  All reset at each run.
     """
@@ -216,10 +203,6 @@ class JoinCacheStats:
     @property
     def pi_cache_shared_hits(self) -> int:
         return self._join_cache.shared_hits
-
-    @property
-    def pi_cache_disk_hits(self) -> int:
-        return self._join_cache.disk_hits
 
     @property
     def pi_cache_misses(self) -> int:
@@ -245,11 +228,11 @@ class CountingSimulator(JoinCacheStats):
     (:func:`repro.util.mathx.exact_join_probabilities`) entirely.
     ``shared_pi_cache`` additionally plugs the simulator into a
     cross-trial :class:`~repro.sim.pi_cache.SharedPiCache`, so *other*
-    trials' kernel work is reused too (keyed by the numerics tag plus the
-    signature — see that module for why stale reuse is structurally
-    impossible).  Both knobs are pure performance choices: every
-    combination draws from the identical action distribution, and cached
-    runs are bit-identical to uncached ones.  Cache effectiveness is
+    trials' kernel work is reused too (keyed by the signature — see that
+    module for why stale reuse is structurally impossible).  Both knobs
+    are pure performance choices: every combination draws from the
+    identical action distribution, and cached runs are bit-identical to
+    uncached ones.  Cache effectiveness is
     reported by the ``pi_cache_*`` properties (see
     :class:`JoinCacheStats`).  ``pi_cache=False`` disables every layer.
 

@@ -1,4 +1,4 @@
-"""Disk-backed result/artifact store: resumable sweeps, persistent caches.
+"""Disk-backed result store: resumable sweeps, grids and served points.
 
 The experiments of the paper are *sweeps* — over colony size, task
 count, noise, and feedback shape — and the ROADMAP's production target
@@ -17,14 +17,7 @@ artifacts durable and shareable:
   partial record; corrupt or orphaned files read as *absent* and are
   swept by :meth:`ResultStore.gc`.
 * :mod:`repro.store.store` — :class:`ResultStore`, the content-addressed
-  store root with ``ls`` / ``gc`` / ``info`` maintenance and a
-  :meth:`~repro.store.store.ResultStore.pi_cache` factory for the
-  persistent kernel cache living under the same root.
-* :mod:`repro.store.pi_disk` — :class:`DiskPiCache`, the disk tier of
-  the counting engine's join-distribution cache: same
-  ``(numerics tag, u.tobytes())`` keys as the in-memory
-  :class:`~repro.sim.pi_cache.SharedPiCache`, memory-mapped read-only
-  arrays, write-then-rename so concurrent ProcessPool workers are safe.
+  store root with ``ls`` / ``gc`` / ``info`` maintenance.
 * :mod:`repro.store.locks` — a minimal advisory file lock for
   maintenance operations (``gc``) that must not race each other.
 
@@ -50,7 +43,6 @@ from repro.store.locks import (
     read_owner,
     write_owner_file,
 )
-from repro.store.pi_disk import DiskPiCache
 from repro.store.records import Record, delete_record, read_record, write_record
 from repro.store.store import ResultStore
 
@@ -68,7 +60,6 @@ __all__ = [
     "owner_token",
     "read_owner",
     "write_owner_file",
-    "DiskPiCache",
     "Record",
     "read_record",
     "write_record",

@@ -44,9 +44,9 @@ __all__ = [
 STORE_FORMAT = 1
 
 #: Version of the engine's numerics: the bits the counting engine draws
-#: from for a given seed.  Sweep-point digests and join-cache keys embed
-#: it, so results computed under other numerics read as absent instead
-#: of mixing with new ones.  Bump it with *any* change that alters engine
+#: from for a given seed.  Sweep-point digests embed it, so results
+#: computed under other numerics read as absent instead of mixing with
+#: new ones.  Bump it with *any* change that alters engine
 #: output bits (join kernel, quadrature nodes, sampling order, ...); the
 #: golden-record pins in ``tests/scenario/test_golden_records.py`` fail
 #: when the bits change under an unchanged version.  Version 2: the join

@@ -42,6 +42,7 @@ __all__ = [
     "FileLock",
     "LockTimeout",
     "LEASE_SUFFIX",
+    "STALE_INFIX",
     "break_stale",
     "format_owner",
     "owner_token",
@@ -57,6 +58,11 @@ DEFAULT_STALE_AFTER = 3600.0
 #: here, not in ``repro.sched``, so the store's ``gc`` can sweep orphaned
 #: leases without importing the (higher-layer) scheduler package.
 LEASE_SUFFIX = ".lease"
+
+#: Marks the unique name :func:`break_stale` renames a file to before
+#: deleting or restoring it; a reclaimer killed in between leaves
+#: ``<name>.stale-<pid>-<id>`` behind for ``gc``.
+STALE_INFIX = ".stale-"
 
 
 class LockTimeout(ReproError, TimeoutError):
@@ -167,7 +173,7 @@ def break_stale(path: str | Path, stale_after: float) -> dict[str, Any] | None:
         return None  # gone already — the holder released it
     if age <= stale_after:
         return None
-    stolen = path.with_name(f"{path.name}.stale-{os.getpid()}-{id(path):x}")
+    stolen = path.with_name(f"{path.name}{STALE_INFIX}{os.getpid()}-{id(path):x}")
     try:
         os.rename(path, stolen)
     except OSError:

@@ -6,18 +6,18 @@ point multiple processes at)::
     <root>/
       results/<hh>/<digest>.json     record manifests (commit points)
       results/<hh>/<digest>.npz      record payloads (numeric arrays)
-      pi/<tag>/<hh>/<sha>.npy        persistent join-distribution cache
       sched/<grid>/...               scheduler state (grids + leases)
       locks/gc.lock                  maintenance mutex
 
 ``<hh>`` is a 2-hex-character shard of the digest so no single directory
 grows unboundedly.  Records are read and written through
-:mod:`repro.store.records` (atomic, corruption-tolerant); the kernel
-cache is a :class:`~repro.store.pi_disk.DiskPiCache` rooted inside the
-store so one ``--store DIR`` flag provisions both.
+:mod:`repro.store.records` (atomic, corruption-tolerant).  A ``pi/``
+directory left by older versions (an on-disk join-distribution cache)
+is no longer read; delete it by hand.
 
 Maintenance: :meth:`gc` sweeps debris that the crash-safety protocol can
-leave behind — orphaned temp files, payloads whose manifest never landed,
+leave behind — orphaned temp files and stale lock or lease files a
+killed reclaimer renamed aside, payloads whose manifest never landed,
 manifests whose payload is missing or unreadable — under a file lock so
 concurrent sweeps cannot race.  :meth:`info` and :meth:`iter_records`
 power the ``repro-experiments store info|ls`` CLI.
@@ -35,8 +35,7 @@ import numpy.typing as npt
 
 from repro.exceptions import ConfigurationError
 from repro.store.digest import STORE_FORMAT
-from repro.store.locks import LEASE_SUFFIX, FileLock, break_stale
-from repro.store.pi_disk import DiskPiCache
+from repro.store.locks import LEASE_SUFFIX, STALE_INFIX, FileLock, break_stale
 from repro.store.records import (
     MANIFEST_SUFFIX,
     PAYLOAD_SUFFIX,
@@ -59,6 +58,12 @@ def _digest_from(path: Path, suffix: str) -> str | None:
     if name and all(c in "0123456789abcdef" for c in name):
         return name
     return None
+
+
+def _is_debris(name: str) -> bool:
+    """A killed writer's temp file, or a lock/lease file a killed
+    reclaimer renamed aside and never unlinked."""
+    return name.startswith(TMP_PREFIX) or STALE_INFIX in name
 
 
 class ResultStore:
@@ -92,20 +97,12 @@ class ResultStore:
         return self.root / "results"
 
     @property
-    def pi_dir(self) -> Path:
-        return self.root / "pi"
-
-    @property
     def sched_dir(self) -> Path:
         """Scheduler state (grid manifests + lease files) under this root."""
         return self.root / "sched"
 
     def record_dir(self, digest: str) -> Path:
         return self.results_dir / digest[:2]
-
-    def pi_cache(self, *, mmap: bool = True) -> DiskPiCache:
-        """The persistent kernel cache living under this store's root."""
-        return DiskPiCache(self.pi_dir, mmap=mmap)
 
     # ------------------------------------------------------------------
     # Records
@@ -172,14 +169,11 @@ class ResultStore:
                     record_bytes += path.stat().st_size
                 except OSError:
                     pass
-        pi = self.pi_cache()
         return {
             "root": str(self.root),
             "format": STORE_FORMAT,
             "records": n_records,
             "record_bytes": record_bytes,
-            "pi_entries": len(pi),
-            "pi_bytes": pi.nbytes(),
         }
 
     #: Files younger than this are presumed to belong to an in-flight
@@ -205,7 +199,11 @@ class ResultStore:
 
         Removes (under the store's maintenance lock):
 
-        * ``tmp`` — temp files abandoned by killed writers;
+        * ``tmp`` — crash debris under ``results/``, ``sched/`` and
+          ``locks/``: temp files abandoned by killed writers, and
+          ``*.stale-*`` files a killed lock or lease reclaimer renamed
+          aside (:func:`~repro.store.locks.break_stale`) but never
+          unlinked;
         * ``orphan_payloads`` — payloads whose manifest never landed
           (a write interrupted before its commit point);
         * ``broken_records`` — committed manifests whose payload is
@@ -221,41 +219,28 @@ class ResultStore:
         maintenance only.  Pass ``grace_seconds=0`` to force a full
         sweep when no writer can be alive.
 
-        ``max_age_seconds`` additionally turns on **age-based eviction**
-        for the two unbounded, recomputable artifact classes:
-
-        * ``pi_evicted`` — persistent join-distribution cache entries
-          not touched for ``max_age_seconds`` (pure caches: evicting one
-          costs a kernel re-run, never correctness);
-        * ``stale_leases`` — scheduler lease files older than
-          ``max_age_seconds``, i.e. orphans whose worker died and whose
-          grid no active worker is reclaiming (live schedulers reclaim
-          expired leases themselves on a much shorter TTL — this is the
-          backstop for abandoned grids).  The takeover goes through the
-          same atomic rename-steal as lease reclaim, so gc can never
-          delete a lease a live worker just refreshed.
-
-        Committed records are *never* age-evicted: they are results,
-        not caches.
+        ``max_age_seconds`` additionally breaks ``stale_leases`` —
+        scheduler lease files older than ``max_age_seconds``, i.e.
+        orphans whose worker died and whose grid no active worker is
+        reclaiming (live schedulers reclaim expired leases themselves on
+        a much shorter TTL — this is the backstop for abandoned grids).
+        The takeover goes through the same atomic rename-steal as lease
+        reclaim, so gc can never delete a lease a live worker just
+        refreshed.  Committed records are *never* age-evicted.
         """
         grace = self.GC_GRACE_SECONDS if grace_seconds is None else float(grace_seconds)
         cutoff = time.time() - grace
-        removed = {
-            "tmp": 0,
-            "orphan_payloads": 0,
-            "broken_records": 0,
-            "pi_evicted": 0,
-            "stale_leases": 0,
-        }
-        with FileLock(self.root / "locks" / "gc.lock"):
-            for base in (self.results_dir, self.pi_dir):
+        removed = {"tmp": 0, "orphan_payloads": 0, "broken_records": 0, "stale_leases": 0}
+        locks_dir = self.root / "locks"
+        with FileLock(locks_dir / "gc.lock"):
+            for base in (self.results_dir, self.sched_dir, locks_dir):
                 if not base.is_dir():
                     continue
-                for tmp in base.rglob(f"{TMP_PREFIX}*"):
-                    if not self._older_than(tmp, cutoff):
+                for path in base.rglob("*"):
+                    if not _is_debris(path.name) or not self._older_than(path, cutoff):
                         continue
                     try:
-                        os.unlink(tmp)
+                        os.unlink(path)
                         removed["tmp"] += 1
                     except OSError:
                         pass
@@ -280,23 +265,10 @@ class ResultStore:
                     ):
                         delete_record(manifest.parent, digest)
                         removed["broken_records"] += 1
-            if max_age_seconds is not None:
-                age_cutoff = time.time() - float(max_age_seconds)
-                if self.pi_dir.is_dir():
-                    for entry in self.pi_dir.rglob("*.npy"):
-                        if entry.name.startswith(TMP_PREFIX):
-                            continue
-                        if not self._older_than(entry, age_cutoff):
-                            continue
-                        try:
-                            os.unlink(entry)
-                            removed["pi_evicted"] += 1
-                        except OSError:
-                            pass
-                if self.sched_dir.is_dir():
-                    for lease in self.sched_dir.rglob(f"*{LEASE_SUFFIX}"):
-                        if break_stale(lease, float(max_age_seconds)) is not None:
-                            removed["stale_leases"] += 1
+            if max_age_seconds is not None and self.sched_dir.is_dir():
+                for lease in self.sched_dir.rglob(f"*{LEASE_SUFFIX}"):
+                    if break_stale(lease, float(max_age_seconds)) is not None:
+                        removed["stale_leases"] += 1
         return removed
 
     # ------------------------------------------------------------------

@@ -64,13 +64,13 @@ class TestParser:
                 "--axis", "algorithm.gamma=0.02,0.04",
                 "--axis", "demand.k=2,4",
                 "--trials", "3", "--rounds", "100", "--workers", "2",
-                "--ttl", "5", "--poll", "0.1", "--init-only", "--json",
+                "--ttl", "5", "--init-only", "--json",
             ]
         )
         assert args.sched_command == "run"
         assert args.axis == ["algorithm.gamma=0.02,0.04", "demand.k=2,4"]
         assert args.trials == 3 and args.rounds == 100 and args.workers == 2
-        assert args.ttl == 5.0 and args.poll == 0.1
+        assert args.ttl == 5.0
         assert args.init_only and args.json
 
     def test_sched_run_requires_store_and_axis(self):

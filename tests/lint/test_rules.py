@@ -216,7 +216,6 @@ def test_rpr004_exempts_the_atomic_write_helper_modules(lint_source):
     for rel in (
         "repro/store/records.py",
         "repro/store/locks.py",
-        "repro/store/pi_disk.py",
     ):
         assert lint_source(src, rel=rel) == [], rel
 

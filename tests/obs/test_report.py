@@ -17,8 +17,8 @@ def trace_path(tmp_path):
         tracer.complete("join_kernel", 4.0, method="fft", k=4096)
         with tracer.span("counting_run", engine="counting"):
             pass
-        tracer.event("pi_cache_stats", local_hits=90, shared_hits=6, disk_hits=0, misses=4)
-        tracer.event("pi_cache_stats", local_hits=10, shared_hits=0, disk_hits=4, misses=6)
+        tracer.event("pi_cache_stats", local_hits=90, shared_hits=6, misses=4)
+        tracer.event("pi_cache_stats", local_hits=10, shared_hits=4, misses=6)
     return path
 
 

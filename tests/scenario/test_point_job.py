@@ -72,7 +72,7 @@ def _grid_worker(store: ResultStore) -> None:
         axes=[{"parameter": "algorithm.gamma", "values": [GAMMA]}],
         trials=TRIALS,
     )
-    assert run_worker(store, grid, poll=0.01).computed == 1
+    assert run_worker(store, grid).computed == 1
 
 
 def _service(store: ResultStore) -> None:

@@ -13,7 +13,6 @@ import pytest
 import repro.scenario.runner as scenario_runner_mod
 from repro.exceptions import ConfigurationError, SweepInterrupted
 from repro.scenario import ScenarioSpec, sweep_scenario
-from repro.sim.pi_cache import SharedPiCache
 from repro.store import ResultStore
 
 
@@ -286,32 +285,22 @@ class TestGuards:
             )
 
 
-class TestSharedPiCachePersistence:
-    def test_store_roots_the_disk_tier(self, tmp_path):
-        cache_runs = []
-        for _ in range(2):
-            cache = SharedPiCache(disk=ResultStore(tmp_path).pi_cache())
+class TestSharedPiCacheWithStore:
+    def test_store_holds_records_only_and_matches_uncached(self, tmp_path):
+        # The shared cache lives in memory: a store-backed sweep with it
+        # writes the same results/ tree as one without, and nothing else.
+        for name, shared in (("cached", True), ("plain", None)):
             sweep_scenario(
                 binary_spec(),
                 "algorithm.gamma",
                 [0.02, 0.04],
                 trials=2,
-                store=tmp_path,
-                resume=False,
-                shared_pi_cache=cache,
+                store=tmp_path / name,
+                shared_pi_cache=shared,
             )
-            cache_runs.append(cache)
-        first, second = cache_runs
-        assert first.disk.writes > 0
-        assert second.disk_hits > 0  # second "session" served from disk
-
-    def test_shared_pi_cache_true_uses_store_pi_dir(self, tmp_path):
-        sweep_scenario(
-            binary_spec(),
-            "algorithm.gamma",
-            [0.02],
-            trials=2,
-            store=tmp_path,
-            shared_pi_cache=True,
-        )
-        assert len(ResultStore(tmp_path).pi_cache()) > 0
+        cached, plain = tmp_path / "cached", tmp_path / "plain"
+        assert sorted(p.name for p in cached.iterdir()) == ["results"]
+        files = sorted(p.relative_to(cached) for p in cached.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(plain) for p in plain.rglob("*") if p.is_file())
+        for rel in files:
+            assert (cached / rel).read_bytes() == (plain / rel).read_bytes()

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.sched.scheduler as scheduler_mod
 import repro.sched.worker as worker_mod
 from repro.exceptions import SchedulerError
 from repro.scenario import ScenarioSpec, sweep_scenario
@@ -146,7 +147,7 @@ class TestCrashRecovery:
         old = lease.path.stat().st_mtime - 10.0
         os.utime(lease.path, (old, old))
 
-        stats = run_worker(store, grid, ttl=1.0, poll=0.01)
+        stats = run_worker(store, grid, ttl=1.0)
         assert stats.computed == 1
         status = grid_status(store, grid, ttl=1.0)
         assert status["done"] and status["reclaimed"] == 1
@@ -168,36 +169,56 @@ class TestCrashRecovery:
                 return lease
 
         monkeypatch.setattr(worker_mod, "LeaseManager", RacingManager)
-        stats = run_worker(store, grid, poll=0.01)
+        stats = run_worker(store, grid)
         assert stats.computed == 0 and stats.resumed_skips == 1
         assert store.has_record(point.digest)
 
     def test_worker_waits_out_a_live_lease(self, tmp_path):
         # A point leased by a live peer is skipped, not stolen; once the
-        # peer releases, the waiting worker finishes the frontier.
+        # peer releases, the waiting worker finishes the frontier.  Its
+        # idle passes re-check only the point still outstanding.
         grid = single_axis_grid([0.02, 0.04], trials=1)
+        blocked, free = (job.digest for job in grid.points())
         store = ResultStore(tmp_path)
         blocker = LeaseManager(
             store.sched_dir / grid.grid_digest(), ttl=60.0, worker_id="blocker"
         )
-        held = blocker.try_claim(grid.points()[0].digest)
+        held = blocker.try_claim(blocked)
         assert held is not None
 
+        worker_store = ResultStore(tmp_path)
+        checked = []
+        real_has_record = worker_store.has_record
+
+        def has_record(digest):
+            checked.append(digest)
+            return real_has_record(digest)
+
+        worker_store.has_record = has_record
         result = {}
         thread = threading.Thread(
-            target=lambda: result.update(stats=run_worker(store, grid, poll=0.01))
+            target=lambda: result.update(stats=run_worker(worker_store, grid))
         )
         thread.start()
         deadline = time.monotonic() + 30.0
-        while not store.has_record(grid.points()[1].digest):
+        while not store.has_record(free):
             assert time.monotonic() < deadline, "worker never computed the free point"
+            time.sleep(0.005)
+        seen = len(checked)
+        while len(checked) < seen + 3:  # a few idle passes after the commit
+            assert time.monotonic() < deadline, "worker stopped re-checking"
             time.sleep(0.005)
         held.release()
         thread.join(timeout=30.0)
         assert not thread.is_alive()
-        assert result["stats"].lease_denied >= 1
+        assert result["stats"].lease_denied >= 3
         assert grid_status(store, grid)["done"]
         assert blocker.reclaimed_count() == 0  # the live lease was never stolen
+        # The free point is checked before its claim and again after it;
+        # every later pass checks the blocked point alone.
+        last_free = len(checked) - 1 - checked[::-1].index(free)
+        assert checked.count(free) == 2
+        assert set(checked[last_free + 1 :]) == {blocked}
 
     def test_sigkilled_worker_process_leaves_a_recoverable_store(self, tmp_path):
         # The real thing: fork a worker, SIGKILL it once it holds a
@@ -214,7 +235,7 @@ class TestCrashRecovery:
         proc = ctx.Process(
             target=run_worker,
             args=(store_a, grid),
-            kwargs={"ttl": 0.5, "poll": 0.01},
+            kwargs={"ttl": 0.5},
         )
         proc.start()
         deadline = time.monotonic() + 30.0
@@ -225,7 +246,7 @@ class TestCrashRecovery:
         os.kill(proc.pid, signal.SIGKILL)
         proc.join(timeout=30.0)
 
-        stats = run_worker(store_a, grid, ttl=0.5, poll=0.01)
+        stats = run_worker(store_a, grid, ttl=0.5)
         assert grid_status(store_a, grid)["done"]
         assert stats.computed <= grid.n_points
 
@@ -246,9 +267,44 @@ class TestRunGridWorkers:
         serial = ResultStore(tmp_path / "serial")
         run_grid(serial, grid)
         parallel = ResultStore(tmp_path / "par")
-        status = run_grid(parallel, grid, workers=2, ttl=10.0, poll=0.01)
+        status = run_grid(parallel, grid, workers=2, ttl=10.0)
         assert status["done"]
         assert tree_hashes(parallel) == tree_hashes(serial)
+
+    def test_returns_when_the_last_worker_exits(self, tmp_path):
+        # The drain ends with the worker's exit, not the next progress tick.
+        grid = single_axis_grid([0.02], trials=1)
+        started = time.monotonic()
+        status = run_grid(ResultStore(tmp_path), grid, workers=1, progress_interval=30.0)
+        assert status["done"]
+        assert time.monotonic() - started < 10.0
+
+    def test_a_dead_sibling_neither_stalls_nor_spins_the_wait(self, tmp_path, monkeypatch):
+        # w0 dies at once; its sentinel stays ready, so waiting on it
+        # again would re-read the frontier in a tight loop.
+        real_main = scheduler_mod._worker_main
+
+        def worker_main(*args):
+            if args[-1] == "w0":
+                raise RuntimeError("w0 dies at once")
+            real_main(*args)
+
+        status_calls = []
+        real_status = scheduler_mod.grid_status
+
+        def grid_status_spy(*args, **kwargs):
+            status_calls.append(time.monotonic())
+            return real_status(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_mod, "_worker_main", worker_main)
+        monkeypatch.setattr(scheduler_mod, "grid_status", grid_status_spy)
+        grid = single_axis_grid([0.02, 0.04], trials=1)
+        interval = 0.5
+        started = time.monotonic()
+        status = run_grid(ResultStore(tmp_path), grid, workers=2, progress_interval=interval)
+        elapsed = time.monotonic() - started
+        assert status["done"]
+        assert len(status_calls) <= elapsed / interval + 3
 
     def test_all_workers_crashing_raises_but_preserves_frontier(self, tmp_path):
         # An unrunnable grid (bogus run kwarg survives JSON validation
@@ -257,7 +313,7 @@ class TestRunGridWorkers:
         grid = single_axis_grid([0.02], trials=1, run_overrides={"bogus_kwarg": 1})
         store = ResultStore(tmp_path)
         with pytest.raises(SchedulerError, match="re-run to resume"):
-            run_grid(store, grid, workers=1, poll=0.01, progress_interval=0.05)
+            run_grid(store, grid, workers=1, progress_interval=0.05)
         assert not grid_status(store, grid)["done"]
 
 

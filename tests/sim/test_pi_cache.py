@@ -208,20 +208,20 @@ class TestSharedPiCacheObject:
         key = SharedPiCache.key(np.array([0.1, 0.2]))
         stored = cache.put(key, pi)
         assert not stored.flags.writeable
-        assert cache.get(key) is stored
+        assert cache.fetch(key) is stored
         np.testing.assert_array_equal(stored, pi)
         # The stored entry is a copy: mutating the source cannot reach it.
         pi[0] = 99.0
-        np.testing.assert_array_equal(cache.get(key), [0.25, 0.25, 0.5])
+        np.testing.assert_array_equal(cache.fetch(key), [0.25, 0.25, 0.5])
 
     def test_hit_miss_counters(self):
         from repro.sim.pi_cache import SharedPiCache
 
         cache = SharedPiCache()
         key = SharedPiCache.key(np.array([0.5]))
-        assert cache.get(key) is None
+        assert cache.fetch(key) is None
         cache.put(key, np.array([0.5, 0.5]))
-        assert cache.get(key) is not None
+        assert cache.fetch(key) is not None
         assert (cache.hits, cache.misses) == (1, 1)
         cache.clear()
         assert (cache.hits, cache.misses) == (0, 0) and len(cache) == 0
@@ -234,18 +234,15 @@ class TestSharedPiCacheObject:
         for key in keys:
             cache.put(key, np.array([0.5, 0.5]))
         assert len(cache) == 2
-        assert cache.get(keys[0]) is None  # oldest evicted
-        assert cache.get(keys[2]) is not None
+        assert cache.fetch(keys[0]) is None  # oldest evicted
+        assert cache.fetch(keys[2]) is not None
 
     def test_key_embeds_method_and_signature(self):
-        # The key's first component names the kernel's numerics; the
-        # second is the signature's bytes.
-        from repro.sim.pi_cache import PI_KEY_TAG, SharedPiCache
-        from repro.store import NUMERICS_VERSION
+        # The key is the signature's byte image, as in the local tier.
+        from repro.sim.pi_cache import SharedPiCache
 
         u = np.array([0.3, 0.7])
-        assert SharedPiCache.key(u) == (PI_KEY_TAG, u.tobytes())
-        assert PI_KEY_TAG == f"numerics-{NUMERICS_VERSION}"
+        assert SharedPiCache.key(u) == u.tobytes()
         assert SharedPiCache.key(u) != SharedPiCache.key(u + 1e-16)
         assert SharedPiCache.key(u) == SharedPiCache.key(u.copy())
 
@@ -289,7 +286,7 @@ class TestSharedPiCacheObject:
         del first  # trial 1 finished; worker drops everything
         gc.collect()
         again = pc._resolve_token(token, 64)  # trial 2 unpickles
-        assert again.get(key) is not None, "worker cache was garbage-collected between trials"
+        assert again.fetch(key) is not None, "worker cache was garbage-collected between trials"
 
     def test_home_process_cache_is_not_leaked_by_the_registry(self):
         # In the constructing process the registry must stay weak: once
@@ -313,7 +310,7 @@ class TestSharedPiCacheObject:
 
 
 class TestPerRunCounterReset:
-    """Every cache counter — local, shared, disk, miss — must rewind at
+    """Every cache counter — local, shared, miss — must rewind at
     :meth:`run` so back-to-back runs on ONE simulator report per-run
     stats while the caches themselves stay warm."""
 
@@ -343,24 +340,7 @@ class TestPerRunCounterReset:
         # second run cannot touch the shared tier at all; a stale counter
         # would still show the first run's hits.
         assert sim2.pi_cache_shared_hits == 0
-        assert sim2.pi_cache_hits == (
-            sim2.pi_cache_local_hits
-            + sim2.pi_cache_shared_hits
-            + sim2.pi_cache_disk_hits
-        )
-
-    def test_disk_tier_hits_rewind(self, tmp_path):
-        from repro.sim.pi_cache import SharedPiCache
-
-        _binary_sim(shared_pi_cache=SharedPiCache(disk=str(tmp_path))).run(200)
-        # Fresh memory tiers over the warmed disk root: the first run is
-        # served from disk, the rerun entirely from the local cache.
-        sim = _binary_sim(shared_pi_cache=SharedPiCache(disk=str(tmp_path)))
-        sim.run(200)
-        assert sim.pi_cache_disk_hits > 0 and sim.pi_cache_misses == 0
-        sim.run(200)
-        assert sim.pi_cache_disk_hits == 0
-        assert sim.pi_cache_hits + sim.pi_cache_misses > 0
+        assert sim2.pi_cache_hits == sim2.pi_cache_local_hits + sim2.pi_cache_shared_hits
 
 
 class TestSharedPiCacheInSimulator:
@@ -415,29 +395,6 @@ class TestSharedPiCacheInSimulator:
         make().run(100)
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
         assert counter.calls > 0
-
-    def test_old_numerics_disk_entries_are_never_served(self, tmp_path, monkeypatch):
-        # A store written by an older kernel holds entries for the same
-        # signatures under other tags: pi/quadrature/ (explicit
-        # quadrature or k >= 2048 before the numerics version existed)
-        # and older numerics-N tags.  Poison them; a run over that store
-        # must recompute everything and match a cold run bit for bit.
-        from repro.sim.pi_cache import SharedPiCache
-        from repro.store import NUMERICS_VERSION, DiskPiCache
-
-        cold = _binary_sim().run(100, trace_stride=1).trace.loads
-        recorder = KernelCallCounter(monkeypatch)
-        _binary_sim().run(100)
-        disk = DiskPiCache(tmp_path)
-        for u_bytes in set(recorder.keys):
-            k = len(u_bytes) // 8
-            for tag in ("quadrature", "dp", "fft", f"numerics-{NUMERICS_VERSION - 1}"):
-                disk.put((tag, u_bytes), np.full(k + 1, 1.0 / (k + 1)))
-        cache = SharedPiCache(disk=DiskPiCache(tmp_path))
-        sim = _binary_sim(shared_pi_cache=cache)
-        warm = sim.run(100, trace_stride=1).trace.loads
-        assert sim.pi_cache_disk_hits == 0 and cache.disk.hits == 0
-        assert np.array_equal(warm, cold)
 
     def test_quadrature_method_accepted_end_to_end(self):
         # The default (and only) kernel is the quadrature one.

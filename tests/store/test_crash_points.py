@@ -8,6 +8,10 @@ failure the store must read the record as absent or complete through
 ``has_record``, ``read_record`` and ``iter_records``; ``gc`` with no
 grace period must leave no debris; and re-running the point must
 converge to a store byte-identical to a clean run.
+
+The scheduler's own files get the same treatment at their two kill
+points: inside ``init_grid``'s atomic manifest write, and inside a
+stale-lease reclaim between ``break_stale``'s rename and its unlink.
 """
 
 from __future__ import annotations
@@ -23,8 +27,12 @@ import numpy as np
 import pytest
 
 import repro.store.records as records
+from repro.exceptions import SchedulerError
 from repro.scenario import sweep_scenario
+from repro.sched import GridSpec, LeaseManager, grid_status, init_grid, load_grid, run_grid
+from repro.sched.scheduler import GRID_MANIFEST
 from repro.store import ResultStore
+from repro.store.locks import STALE_INFIX
 from repro.store.records import PAYLOAD_SUFFIX, TMP_PREFIX
 
 from tests.serve.test_request import tiny_spec
@@ -171,3 +179,90 @@ def test_commit_path_crash_point(tmp_path, monkeypatch, clean, step, failure):
     assert record is not None
     for name, array in arrays.items():
         assert np.array_equal(record.arrays[name], array)
+
+
+# ----------------------------------------------------------------------
+# Scheduler state: grid manifests and lease reclaims
+
+SCHED_KILLS = ("init_grid", "lease_reclaim")
+
+
+def one_point_grid() -> GridSpec:
+    """The ``clean`` point as a one-axis grid (same digest, same record)."""
+    return GridSpec(
+        spec=tiny_spec(),
+        axes=[{"parameter": "algorithm.gamma", "values": [GAMMA]}],
+        trials=2,
+    )
+
+
+def _debris(root: Path) -> list[Path]:
+    return [
+        path
+        for path in root.rglob("*")
+        if path.is_file() and (path.name.startswith(TMP_PREFIX) or STALE_INFIX in path.name)
+    ]
+
+
+def _killed_init(root: str) -> None:
+    """Child process body: die by SIGKILL as ``init_grid`` renames its
+    fsync'd temp file onto ``grid.json``."""
+    real_replace = os.replace
+
+    def replace(src: Any, dst: Any) -> None:
+        if Path(dst).name == GRID_MANIFEST:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_replace(src, dst)
+
+    os.replace = replace
+    init_grid(root, one_point_grid())
+
+
+def _killed_reclaimer(root: str) -> None:
+    """Child process body: reclaim a stale lease and die by SIGKILL
+    before unlinking the file ``break_stale`` renamed aside."""
+    real_unlink = os.unlink
+
+    def unlink(path: Any, *args: Any, **kwargs: Any) -> None:
+        if STALE_INFIX in Path(path).name:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_unlink(path, *args, **kwargs)
+
+    os.unlink = unlink
+    grid = one_point_grid()
+    manager = LeaseManager(ResultStore(root).sched_dir / grid.grid_digest(), ttl=1.0)
+    manager.try_claim(grid.points()[0].digest)
+
+
+@pytest.mark.parametrize("kill", SCHED_KILLS)
+def test_scheduler_crash_point(tmp_path, clean, kill):
+    _, _, _, clean_files = clean
+    grid = one_point_grid()
+    store = ResultStore(tmp_path)
+    if kill == "lease_reclaim":
+        init_grid(store, grid)
+        dead = LeaseManager(store.sched_dir / grid.grid_digest(), ttl=1.0, worker_id="dead")
+        lease = dead.try_claim(grid.points()[0].digest)
+        old = lease.path.stat().st_mtime - 10.0
+        os.utime(lease.path, (old, old))
+    body = _killed_init if kill == "init_grid" else _killed_reclaimer
+    proc = multiprocessing.get_context("fork").Process(target=body, args=(str(store.root),))
+    proc.start()
+    proc.join(timeout=30.0)
+    assert proc.exitcode == -signal.SIGKILL
+    assert _debris(store.sched_dir), "the kill left no debris behind"
+
+    # The interrupted step reads as never taken: no grid, or no lease.
+    if kill == "init_grid":
+        with pytest.raises(SchedulerError, match="no grids"):
+            load_grid(store)
+    else:
+        assert grid_status(store, grid, ttl=1.0)["pending"] == 1
+
+    store.gc(grace_seconds=0, max_age_seconds=0)
+    assert _debris(store.root) == []
+
+    assert run_grid(store, grid)["done"]
+    assert files_under(store.results_dir) == clean_files
+    manifest = (grid.to_json() + "\n").encode("utf-8")
+    assert files_under(store.sched_dir) == {f"{grid.grid_digest()}/{GRID_MANIFEST}": manifest}

@@ -69,7 +69,6 @@ class TestInfoAndGc:
         info = store.info()
         assert info["records"] == 2
         assert info["record_bytes"] > 0
-        assert info["pi_entries"] == 0
         assert info["format"] == 1
 
     def test_gc_on_clean_store_removes_nothing(self, tmp_path):
@@ -108,15 +107,21 @@ class TestInfoAndGc:
         (store.results_dir / orphan[:2]).mkdir(parents=True, exist_ok=True)
         young_orphan = store.results_dir / orphan[:2] / f"{orphan}{PAYLOAD_SUFFIX}"
         young_orphan.write_bytes(b"x")
+        # A lease a reclaimer is renaming aside right now is in flight too.
+        leases = store.sched_dir / "g" / "leases"
+        leases.mkdir(parents=True)
+        stolen = leases / f"{D1}.lease.stale-1-2"
+        stolen.write_bytes(b"{}")
         removed = store.gc()
         assert removed["tmp"] == 0 and removed["orphan_payloads"] == 0
-        assert young_orphan.exists()
+        assert young_orphan.exists() and stolen.exists()
         # Backdate them past the grace period: now they are debris.
-        for path in (shard / f"{TMP_PREFIX}young.npz", young_orphan):
+        for path in (shard / f"{TMP_PREFIX}young.npz", young_orphan, stolen):
             old = path.stat().st_mtime - 2 * store.GC_GRACE_SECONDS
             os.utime(path, (old, old))
         removed = store.gc()
-        assert removed["tmp"] == 1 and removed["orphan_payloads"] == 1
+        assert removed["tmp"] == 2 and removed["orphan_payloads"] == 1
+        assert not stolen.exists()
 
     def test_maintenance_tolerates_foreign_files(self, tmp_path):
         # Editor backups / OS metadata inside the store must be skipped
@@ -147,33 +152,7 @@ def _backdate(path, seconds: float) -> None:
 
 
 class TestGcMaxAge:
-    """Age-based eviction of the recomputable artifact classes."""
-
-    def _pi_entry(self, store, name: str):
-        shard = store.pi_dir / "quadrature" / "ab"
-        shard.mkdir(parents=True, exist_ok=True)
-        path = shard / name
-        path.write_bytes(b"\x93NUMPY fake")
-        return path
-
-    def test_old_pi_entries_evicted_fresh_kept(self, tmp_path):
-        store = _store_with_records(tmp_path)
-        old = self._pi_entry(store, "old.npy")
-        fresh = self._pi_entry(store, "fresh.npy")
-        _backdate(old, 1000.0)
-        removed = store.gc(max_age_seconds=100.0)
-        assert removed["pi_evicted"] == 1
-        assert not old.exists() and fresh.exists()
-
-    def test_pi_tmp_files_are_not_age_evicted(self, tmp_path):
-        # Temp files belong to the grace-governed tmp sweep, not the
-        # age eviction pass — a young in-flight write stays untouched
-        # even when max_age says "ancient".
-        store = _store_with_records(tmp_path)
-        tmp = self._pi_entry(store, f"{TMP_PREFIX}inflight.npy")
-        removed = store.gc(max_age_seconds=0.0)
-        assert removed["pi_evicted"] == 0 and removed["tmp"] == 0
-        assert tmp.exists()
+    """Age-based breaking of orphaned lease files."""
 
     def test_orphaned_leases_swept_live_ones_kept(self, tmp_path):
         from repro.store import LEASE_SUFFIX, read_owner, write_owner_file
@@ -204,16 +183,14 @@ class TestGcMaxAge:
         from repro.store import LEASE_SUFFIX, write_owner_file
 
         store = _store_with_records(tmp_path)
-        old_pi = self._pi_entry(store, "old.npy")
-        _backdate(old_pi, 10_000.0)
         lease_dir = store.sched_dir / "g" / "leases"
         lease_dir.mkdir(parents=True)
         lease = lease_dir / f"{D1}{LEASE_SUFFIX}"
         write_owner_file(lease, {"host": "h", "pid": 1, "acquired_unix": 0})
         _backdate(lease, 10_000.0)
         removed = store.gc()  # no max_age: eviction stays off
-        assert removed["pi_evicted"] == 0 and removed["stale_leases"] == 0
-        assert old_pi.exists() and lease.exists()
+        assert removed["stale_leases"] == 0
+        assert lease.exists()
 
 
 class TestFileLock:
