@@ -19,9 +19,8 @@ throughput (lane-rounds per second) must be at least
 scenario carries that floor: its phase structure (2 draw rounds per
 2m-round phase, the rest pure vectorized bookkeeping) is where stacking
 trials pays most.  Algorithm Ant at the same size is reported too, with
-a modest floor — its rounds are dominated by *join-kernel misses* (~2
-ms each at k = 256, paid per distinct mark signature on both paths),
-which batching cannot remove.  The ``default_path`` row runs the paper's
+a modest floor — batching shares its per-round bookkeeping but not its
+per-lane binomial draws.  The ``default_path`` row runs the paper's
 k = 8 colony through ``run_trials``' defaults, so a change that stops
 batching by default fails its floor.
 
@@ -58,10 +57,10 @@ N = 100 * K  # per-task demand n/(2k) = 50: small loads, inversion-sampler regim
 #: batched engine's acceptance criterion).  Measured 5.4-8.2x against
 #: one-lane runs on the reference machine (a 2-vCPU Xeon VM).
 BATCHED_SPEEDUP_FLOOR = 5.0
-#: Ant floor: binomial draws and join-kernel misses cost about the same
-#: per lane on both paths at k = 256, so batching's ceiling is ~2x here
-#: (measured 1.8-2.3x); the floor only guards against the batched path
-#: becoming a pessimization.
+#: Ant floor: binomial draws cost about the same per lane on both paths
+#: at k = 256, so batching's ceiling is ~2x here (measured 1.8-2.3x);
+#: the floor only guards against the batched path becoming a
+#: pessimization.
 ANT_SPEEDUP_FLOOR = 1.5
 #: ``run_trials``' default path on the k = 8 colony: 16 trials batched
 #: by default against 16 one-lane runs.  Floored at ~70% of the ratio
@@ -106,8 +105,9 @@ def _colony_factory(seed: int) -> CountingSimulator:
 def _comparison(factory, rounds: int, floor: float, label: str, batched=None, k: int = K) -> dict:
     """One-lane vs batched wall time over the same ``BATCH`` trials.
 
-    Fresh simulators every repetition (cold per-run caches on both
-    paths, so the comparison is fair), interleaved best-of-``REPEATS``
+    Fresh simulators every repetition, both paths reading the process's
+    join store (the warm-up and first repetition fill it, so neither
+    side's best time pays a kernel miss), interleaved best-of-``REPEATS``
     so a descheduled repetition cannot flip the ratio, and a bit-
     identity assertion on the per-trial statistics.  ``batched`` runs
     the trials the batched way (default: one explicit B-lane batch).

@@ -13,8 +13,8 @@ Both modes assert the acceptance criteria accumulated so far: the
 exact (Gauss-Legendre quadrature) kernel is >= 10x faster than subset
 enumeration at k = 12; an exact counting run at k = 64 (impossible
 under the old ``2^k`` enumerator) completes, and so does one at
-k = 8192; and a shared cross-trial pi cache amortizes kernel work
-across the trials of a multi-trial scenario run.  The ``kernel`` rows
+k = 8192; and the process's join-distribution store amortizes kernel
+work across the trials of a multi-trial scenario run.  The ``kernel`` rows
 time the one kernel from k = 12 to k = 8192 (the sub-millisecond
 k = 12 and k = 64 calls in samples of many calls); the regression gate
 holds each to its recorded time.
@@ -37,22 +37,24 @@ from repro.core.ant import AntAlgorithm
 from repro.env.critical import lambda_for_critical_value
 from repro.env.demands import powerlaw_demands, uniform_demands
 from repro.env.feedback import SigmoidFeedback
+from repro.obs import get_registry
 from repro.obs import monotonic as obs_monotonic
-from repro.scenario import ScenarioSpec, run_scenario
-from repro.sim.counting import CountingSimulator
-from repro.sim.pi_cache import SharedPiCache
+from repro.scenario import ScenarioFactory, ScenarioSpec, run_scenario
+from repro.sim.counting import CountingSimulator, clear_join_cache
+from repro.sim.runner import run_trials
 from repro.util.mathx import enumerate_subset_join_probabilities, exact_join_probabilities
 
 SPEEDUP_FLOOR = 10.0  # required kernel speedup over enumeration at k = 12
-#: The shared cross-trial cache must not meaningfully slow a multi-trial
-#: run (the measured effect is a ~1.2x speedup, but it rides on only
-#: ~13% of kernel calls, so wall-time noise could eat it on a loaded CI
-#: machine — the hard, deterministic guarantee is the amortization
-#: fraction below).
+#: Sharing the join store across trials must not meaningfully slow a
+#: multi-trial run (the measured effect is a ~1.2x speedup, but it rides
+#: on only ~13% of kernel calls, so wall-time noise could eat it on a
+#: loaded CI machine — the hard, deterministic guarantee is the
+#: amortization fraction below).
 SHARED_CACHE_SPEEDUP_FLOOR = 0.8
-#: Fraction of shared-cache lookups served from another trial's kernel
-#: work.  Unlike the wall-time ratio this is structural (it depends only
-#: on the trajectories, not the machine), so the regression gate pins it.
+#: Fraction of per-trial kernel calls that sharing the store across
+#: trials saves.  Unlike the wall-time ratio this is structural (it
+#: depends only on the trajectories, not the machine), so the
+#: regression gate pins it.
 SHARED_CACHE_AMORTIZATION_FLOOR = 0.05
 ENUM_K = 12
 KERNEL_KS = (12, 64, 256, 1024, 8192)
@@ -195,34 +197,46 @@ def _shared_sweep_spec() -> ScenarioSpec:
 
 
 def _shared_cache_comparison() -> dict:
-    """Run the same multi-trial scenario with per-trial caches only and
-    with a shared cross-trial cache; assert bit-identical statistics and
-    report how much kernel work the shared cache amortized.
+    """Run the same multi-trial scenario with the join store emptied
+    before every trial (per-trial caching) and emptied once before the
+    run (shared across trials); assert bit-identical statistics and
+    report how much kernel work sharing saved.
 
     Trials run one at a time (``batch=0``), as they do on process
-    workers: in a batch the lanes already share one cache, so the
-    shared tier would see no cross-trial repeat to amortize."""
+    workers: in a batch the lanes' repeats within a round would hide the
+    cross-trial ones."""
     spec = _shared_sweep_spec()
+    factory = ScenarioFactory(spec)
+    misses = get_registry().counter("repro_pi_cache_lookups_total", tier="miss")
+
+    def cold_factory(seed: int):
+        clear_join_cache()
+        return factory(seed)
+
+    before = misses.value
     t0 = obs_monotonic()
-    solo = run_scenario(spec, trials=SHARED_SWEEP_TRIALS, batch=0, keep_results=False)
+    solo = run_trials(
+        cold_factory, spec.rounds, SHARED_SWEEP_TRIALS, seed=spec.seed, batch=0, keep_results=False
+    )
     t_solo = obs_monotonic() - t0
-    cache = SharedPiCache()
+    solo_misses = int(misses.value - before)
+    clear_join_cache()
+    before = misses.value
     t0 = obs_monotonic()
-    shared = run_scenario(
-        spec, trials=SHARED_SWEEP_TRIALS, batch=0, keep_results=False, shared_pi_cache=cache
-    )
+    shared = run_scenario(spec, trials=SHARED_SWEEP_TRIALS, batch=0, keep_results=False)
     t_shared = obs_monotonic() - t0
+    shared_misses = int(misses.value - before)
     assert np.array_equal(solo.average_regrets, shared.average_regrets), (
-        "shared-cache run is not bit-identical to the per-trial-cache run"
+        "shared-store run is not bit-identical to the per-trial-cache run"
     )
-    assert cache.hits > 0, "no cross-trial signature ever repeated"
-    amortized = cache.hits / (cache.hits + cache.misses)
+    assert shared_misses < solo_misses, "no cross-trial signature ever repeated"
+    amortized = 1.0 - shared_misses / solo_misses
     assert amortized >= SHARED_CACHE_AMORTIZATION_FLOOR, (
-        f"shared pi cache amortized only {amortized:.1%} of kernel lookups"
+        f"sharing the join store saved only {amortized:.1%} of kernel calls"
     )
     speedup = t_solo / t_shared
     assert speedup >= SHARED_CACHE_SPEEDUP_FLOOR, (
-        f"shared pi cache slowed the run down ({speedup:.2f}x)"
+        f"sharing the join store slowed the run down ({speedup:.2f}x)"
     )
     return {
         "k": SHARED_SWEEP_K,
@@ -231,8 +245,8 @@ def _shared_cache_comparison() -> dict:
         "per_trial_cache_seconds": t_solo,
         "shared_cache_seconds": t_shared,
         "speedup": speedup,
-        "shared_cache_hits": cache.hits,
-        "shared_cache_misses": cache.misses,
+        "shared_cache_hits": solo_misses - shared_misses,
+        "shared_cache_misses": shared_misses,
         "cross_trial_amortization": amortized,
     }
 
@@ -280,8 +294,8 @@ def collect() -> dict:
             "rounds_per_second": ENGINE_ROUNDS / elapsed,
         }
 
-    # The exact k = 8192 scenario, and the cross-trial shared pi cache's
-    # amortization of kernel work across trials.
+    # The exact k = 8192 scenario, and the join store's amortization of
+    # kernel work across trials.
     record["counting_engine_xl"] = {f"k={XL_ENGINE_K}": _xl_engine_run()}
     record["shared_pi_cache_sweep"] = {f"k={SHARED_SWEEP_K}": _shared_cache_comparison()}
 
@@ -314,9 +328,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"exact k={XL_ENGINE_K} engine: {xl['rounds_per_second']:.1f} rounds/s")
     sh = record["shared_pi_cache_sweep"][f"k={SHARED_SWEEP_K}"]
     print(
-        f"shared pi cache over {sh['trials']} trials at k={SHARED_SWEEP_K}: "
-        f"{sh['speedup']:.2f}x, {sh['shared_cache_hits']} shared hits / "
-        f"{sh['shared_cache_misses']} misses "
+        f"join store shared over {sh['trials']} trials at k={SHARED_SWEEP_K}: "
+        f"{sh['speedup']:.2f}x, {sh['shared_cache_misses']} kernel calls, "
+        f"{sh['shared_cache_hits']} saved "
         f"({100 * sh['cross_trial_amortization']:.0f}% amortized)"
     )
     print(f"wrote {args.json}")

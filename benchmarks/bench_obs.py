@@ -39,7 +39,7 @@ from repro.env.demands import uniform_demands
 from repro.env.feedback import SigmoidFeedback
 from repro.obs import monotonic as obs_monotonic
 from repro.obs import trace_to
-from repro.sim.counting import CountingSimulator
+from repro.sim.counting import CountingSimulator, clear_join_cache
 
 K = 64
 N = 100 * K
@@ -63,8 +63,9 @@ def _factory() -> CountingSimulator:
 def _comparison() -> dict:
     """Bare vs traced wall time of the same run, paired per repetition.
 
-    Fresh simulators every repetition (cold per-run caches on both
-    paths) and a fresh trace file per traced repetition (appending to
+    Fresh simulators and an empty join store for every run (cold caches
+    on both paths, so the traced run traces every kernel miss the bare
+    run pays) and a fresh trace file per traced repetition (appending to
     one growing file would bill later repetitions for earlier lines).
     The efficiency is the *best paired ratio* across repetitions: bare
     and traced runs alternate back-to-back, so one repetition where
@@ -82,12 +83,14 @@ def _comparison() -> dict:
     trace_lines = 0
     with tempfile.TemporaryDirectory() as tmp:
         for rep in range(REPEATS):
+            clear_join_cache()
             t0 = obs_monotonic()
             bare_out = _factory().run(ROUNDS)
             bare_times.append(obs_monotonic() - t0)
 
             trace_path = Path(tmp) / f"rep{rep}.jsonl"
             sim = _factory()
+            clear_join_cache()
             t0 = obs_monotonic()
             with trace_to(trace_path):
                 traced_out = sim.run(ROUNDS)

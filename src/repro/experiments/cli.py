@@ -9,8 +9,7 @@ Usage::
                                                [--parallel P] [--batch B] [--seed S]
     repro-experiments scenario sweep <file.json> --param algorithm.gamma
         --values 0.02,0.03 [--trials T] [--rounds N] [--parallel P]
-        [--store DIR] [--resume] [--shared-pi-cache]
-        [--max-points N] [--out results.json]
+        [--store DIR] [--resume] [--max-points N] [--out results.json]
     repro-experiments scenario show <file.json>
     repro-experiments scenario components
     repro-experiments store ls <dir> [--json]
@@ -19,12 +18,12 @@ Usage::
     repro-experiments sched run <file.json> --store DIR
         --axis algorithm.gamma=0.01,0.02 [--axis feedback.p_fail=0.05,0.1]
         [--trials T] [--rounds N] [--workers W] [--ttl S]
-        [--shared-pi-cache] [--init-only] [--json]
+        [--init-only] [--json]
     repro-experiments sched work <dir> [--grid DIGEST] [--ttl S]
-        [--max-points N] [--shared-pi-cache] [--worker-id ID]
+        [--max-points N] [--worker-id ID]
     repro-experiments sched status <dir> [--grid DIGEST] [--ttl S] [--json]
     repro-experiments serve <dir> [--workers N] [--port P] [--host H]
-        [--ttl S] [--max-pending N] [--shared-pi-cache]
+        [--ttl S] [--max-pending N]
     repro-experiments obs report <trace.jsonl> [--top N] [--json]
     repro-experiments lint <paths...> [--disable IDS] [--no-registry]
         [--json] [--list-rules]
@@ -131,11 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve points already committed to --store instead of recomputing",
     )
     ssweep.add_argument(
-        "--shared-pi-cache",
-        action="store_true",
-        help="share join-kernel work across trials and points (in memory)",
-    )
-    ssweep.add_argument(
         "--max-points",
         type=int,
         default=None,
@@ -199,11 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     screate.add_argument("--ttl", type=float, default=60.0, help="lease TTL seconds")
     screate.add_argument(
-        "--shared-pi-cache",
-        action="store_true",
-        help="share join-kernel work across each worker's points (in memory)",
-    )
-    screate.add_argument(
         "--init-only",
         action="store_true",
         help="persist the grid manifest and exit without running any point",
@@ -218,11 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     swork.add_argument("--ttl", type=float, default=60.0, help="lease TTL seconds")
     swork.add_argument(
         "--max-points", type=int, default=None, help="exit after computing N points"
-    )
-    swork.add_argument(
-        "--shared-pi-cache",
-        action="store_true",
-        help="share join-kernel work across each worker's points (in memory)",
     )
     swork.add_argument("--worker-id", default=None, help="label recorded in lease files")
     swork.add_argument(
@@ -245,11 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="queue depth before POSTs answer 503 (back pressure)",
-    )
-    servep.add_argument(
-        "--shared-pi-cache",
-        action="store_true",
-        help="share join-kernel work across each worker thread's requests (in memory)",
     )
     obsp = sub.add_parser("obs", help="observability tooling (repro.obs)")
     obssub = obsp.add_subparsers(dest="obs_command", required=True)
@@ -379,7 +358,6 @@ def _scenario_sweep_main(args: argparse.Namespace) -> int:
                 parallel=args.parallel,
                 store=args.store,
                 resume=args.resume,
-                shared_pi_cache=args.shared_pi_cache or None,
                 max_new_points=args.max_points,
             )
     except SweepInterrupted as exc:
@@ -508,7 +486,6 @@ def _sched_main(args: argparse.Namespace) -> int:
                 grid,
                 workers=args.workers,
                 ttl=args.ttl,
-                shared_pi_cache=args.shared_pi_cache,
                 progress=progress,
             )
         dt = obs_monotonic() - t0
@@ -525,7 +502,6 @@ def _sched_main(args: argparse.Namespace) -> int:
                 store,
                 grid,
                 ttl=args.ttl,
-                shared_pi_cache=args.shared_pi_cache,
                 max_points=args.max_points,
                 worker_id=args.worker_id,
             )
@@ -565,7 +541,6 @@ def _serve_main(args: argparse.Namespace) -> int:
         workers=args.workers,
         ttl=args.ttl,
         max_pending=max_pending,
-        shared_pi_cache=args.shared_pi_cache,
     )
     run_server(service, host=args.host, port=args.port)
     return 0

@@ -234,8 +234,8 @@ def run_e16_spectrum_skew(scale: str = "full", seed: int = 0) -> ExperimentResul
     set, so re-invocations across sessions are free; a temp directory
     otherwise) and the whole figure is then *re-rendered* from the store
     — asserting that the second pass computes nothing and changes
-    nothing.  Each sweep call shares one in-memory join-kernel cache
-    across its trials.
+    nothing.  Every trial reads the process's join-distribution store,
+    so signatures that repeat across trials and points skip the kernel.
     """
     quick = scale == "quick"
     k = 32 if quick else 64
@@ -277,7 +277,6 @@ def run_e16_spectrum_skew(scale: str = "full", seed: int = 0) -> ExperimentResul
                     [skew],
                     trials=trials,
                     store=store,
-                    shared_pi_cache=True,
                 )
                 rows[family].append(out.summaries[0].mean_closeness)
                 regret_rows[family].append(out.summaries[0].mean_average_regret)

@@ -2,7 +2,7 @@
 
 Parses a trace file written by :mod:`repro.obs.trace` and aggregates it
 into a profile: top spans by total time, the join-kernel time breakdown
-by dispatch method, and cache-tier hit ratios (from the
+by dispatch method, and the join cache's hit ratio (from the
 ``pi_cache_stats`` summary events the engines emit at the end of each
 run).  Torn final lines — possible if a traced process was killed
 mid-write — are counted, not fatal.
@@ -23,7 +23,7 @@ from repro.store.digest import canonical_json
 __all__ = ["load_trace", "render_json", "render_text", "report_payload", "trace_report"]
 
 #: Counter keys the engines put on every ``pi_cache_stats`` event.
-_CACHE_TIERS = ("local_hits", "shared_hits", "misses")
+_CACHE_COUNTS = ("hits", "misses")
 
 
 def load_trace(path: str | Path) -> tuple[list[dict[str, object]], int]:
@@ -98,7 +98,7 @@ def _kernel_rows(events: Iterable[dict[str, object]]) -> list[dict[str, object]]
 
 
 def _cache_summary(events: Iterable[dict[str, object]]) -> dict[str, object]:
-    counts = {tier: 0 for tier in _CACHE_TIERS}
+    counts = {key: 0 for key in _CACHE_COUNTS}
     runs = 0
     for record in events:
         if record.get("name") != "pi_cache_stats":
@@ -107,16 +107,15 @@ def _cache_summary(events: Iterable[dict[str, object]]) -> dict[str, object]:
         if not isinstance(attrs, dict):
             continue
         runs += 1
-        for tier in _CACHE_TIERS:
-            value = attrs.get(tier)
+        for key in _CACHE_COUNTS:
+            value = attrs.get(key)
             if isinstance(value, (int, float)):
-                counts[tier] += int(value)
+                counts[key] += int(value)
     lookups = sum(counts.values())
-    hits = lookups - counts["misses"]
     summary: dict[str, object] = dict(counts)
     summary["runs"] = runs
     summary["lookups"] = lookups
-    summary["hit_ratio"] = (hits / lookups) if lookups else 0.0
+    summary["hit_ratio"] = (counts["hits"] / lookups) if lookups else 0.0
     return summary
 
 
@@ -180,8 +179,7 @@ def render_text(payload: dict[str, object]) -> str:
     lines.append(
         "pi-cache: "
         f"lookups={cache['lookups']} hit_ratio={hit_ratio:.4f} "
-        f"local={cache['local_hits']} shared={cache['shared_hits']} "
-        f"misses={cache['misses']} "
+        f"hits={cache['hits']} misses={cache['misses']} "
         f"(over {cache['runs']} runs)"
     )
     return "\n".join(lines) + "\n"

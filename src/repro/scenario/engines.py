@@ -91,17 +91,14 @@ def _build_counting(
     *,
     seed=None,
     population=None,
-    shared_pi_cache=None,
     initial_loads=None,
     join_strategy: str = "exact",
     pi_cache: bool = True,
 ) -> CountingSimulator:
     # No task-count cap here: the loop-free quadrature join kernel plus
-    # the join-distribution caches make counting scenarios with k in the
-    # thousands declarable and runnable (the old subset enumerator's
-    # k <= 14 cliff survives only as a test oracle).  ``shared_pi_cache``
-    # is runtime context injected by run_scenario/sweep_scenario, never
-    # spec data.
+    # the process's join-distribution store make counting scenarios with
+    # k in the thousands declarable and runnable (the old subset
+    # enumerator's k <= 14 cliff survives only as a test oracle).
     if initial_loads is not None:
         initial_loads = np.asarray(initial_loads, dtype=np.int64)
     return CountingSimulator(
@@ -113,7 +110,6 @@ def _build_counting(
         population=population,
         join_strategy=join_strategy,
         pi_cache=pi_cache,
-        shared_pi_cache=shared_pi_cache,
     )
 
 
@@ -124,7 +120,6 @@ def _build_counting_batched(
     *,
     seed=None,
     population=None,
-    shared_pi_cache=None,
     initial_loads=None,
     join_strategy: str = "exact",
     pi_cache: bool = True,
@@ -146,7 +141,6 @@ def _build_counting_batched(
         feedback,
         seed=seed,
         population=population,
-        shared_pi_cache=shared_pi_cache,
         initial_loads=initial_loads,
         join_strategy=join_strategy,
         pi_cache=pi_cache,

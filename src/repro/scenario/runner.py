@@ -15,14 +15,6 @@ is applied to the spec via :meth:`ScenarioSpec.with_param` dotted paths
 (``"algorithm.gamma"``, ``"feedback.lam"``, ...), so the entire sweep
 stays declarative and process-parallel.
 
-Both entry points accept a ``shared_pi_cache``: one
-:class:`~repro.sim.pi_cache.SharedPiCache` threaded through every trial
-(and, for sweeps, every sweep point) so counting-engine trials whose
-deficit signatures repeat reuse each other's join-kernel work.  The
-cache is runtime context, never spec data; results are bit-identical
-with or without it, batched or process-parallel (workers amortize
-per-process — see :mod:`repro.sim.pi_cache`).
-
 Sweeps are additionally *resumable*: pass ``store=`` (a
 :class:`~repro.store.ResultStore` or a directory path) and every
 completed point is committed to disk as an atomic record keyed by a
@@ -55,7 +47,6 @@ from repro._version import __version__
 from repro.exceptions import ConfigurationError, SweepInterrupted
 from repro.sim.batched import DEFAULT_BATCH
 from repro.sim.engine import SimulationResult
-from repro.sim.pi_cache import SharedPiCache
 from repro.sim.runner import SweepResult, TrialSummary, run_trials
 from repro.store import (
     NUMERICS_VERSION,
@@ -92,16 +83,13 @@ class ScenarioFactory:
 
     Specs are plain data, so instances survive ``pickle`` and can be
     shipped to ``ProcessPoolExecutor`` workers — unlike closures over
-    live simulator components.  An attached shared pi cache survives the
-    trip too: it pickles as an identity token that resolves to one live
-    cache per worker process.
+    live simulator components.
     """
 
     spec: ScenarioSpec
-    shared_pi_cache: SharedPiCache | None = None
 
     def __call__(self, seed: int) -> Any:
-        return self.spec.build(seed=seed, shared_pi_cache=self.shared_pi_cache)
+        return self.spec.build(seed=seed)
 
 
 def resolve_batch(spec: ScenarioSpec, batch: int | None = None, parallel: int = 0) -> int | None:
@@ -140,7 +128,6 @@ def run_scenario(
     seed: int | None = None,
     label: str | None = None,
     keep_results: bool = True,
-    shared_pi_cache: SharedPiCache | None = None,
     **run_overrides: Any,
 ) -> SimulationResult | TrialSummary:
     """Run a declarative scenario end to end.
@@ -171,10 +158,6 @@ def run_scenario(
         Root seed override; defaults to ``spec.seed``.
     label:
         Summary label override; defaults to ``spec.describe()``.
-    shared_pi_cache:
-        Optional cross-trial join-distribution cache shared by every
-        trial (counting engine; see :mod:`repro.sim.pi_cache`).  Purely
-        a performance knob — results are bit-identical without it.
     run_overrides:
         Extra ``run()`` kwargs, overriding ``spec.run_params`` (e.g.
         ``burn_in``, ``trace_stride``).
@@ -191,12 +174,12 @@ def run_scenario(
                 "parallel workers only apply to multi-trial runs; pass trials > 1 "
                 f"(got trials=1, parallel={parallel})"
             )
-        simulator = spec.build(seed=root_seed, shared_pi_cache=shared_pi_cache)
+        simulator = spec.build(seed=root_seed)
         return simulator.run(rounds, **run_kwargs)
 
     gamma_star, total_demand = _closeness_inputs(spec)
     return run_trials(
-        ScenarioFactory(spec, shared_pi_cache),
+        ScenarioFactory(spec),
         rounds,
         trials,
         seed=root_seed,
@@ -374,7 +357,6 @@ class PointJob:
 
     def compute(
         self,
-        pi_cache: SharedPiCache | None = None,
         *,
         parallel: int = 0,
         batch: int | None = None,
@@ -393,7 +375,7 @@ class PointJob:
         """
         gamma_star, total_demand = _closeness_inputs(self.base)
         return run_trials(
-            ScenarioFactory(self.spec, pi_cache),
+            ScenarioFactory(self.spec),
             self.rounds,
             self.trials,
             seed=self.seed,
@@ -467,7 +449,6 @@ def sweep_scenario(
     parallel: int = 0,
     batch: int | None = None,
     keep_results: bool = False,
-    shared_pi_cache: SharedPiCache | bool | None = None,
     store: "ResultStore | str | None" = None,
     resume: bool = True,
     max_new_points: int | None = None,
@@ -479,15 +460,6 @@ def sweep_scenario(
     via ``spec.with_param(parameter, value)``, run for ``trials``
     trials, with closeness against the *base* spec's ``gamma_star`` and
     total demand.
-
-    ``shared_pi_cache=True`` creates one cross-trial join-distribution
-    cache spanning *all* sweep points (sweep points with repeating
-    deficit signatures amortize the kernel across trials); passing a
-    :class:`~repro.sim.pi_cache.SharedPiCache` instance instead lets the
-    caller inspect its hit statistics afterwards.  Either way the sweep
-    statistics are bit-identical to an uncached sweep.  The cache lives
-    in memory for the sweep's duration; a store-backed sweep persists
-    records, not join distributions.
 
     Store-backed sweeps (``store=`` a :class:`~repro.store.ResultStore`
     or directory path) persist every completed point as an atomic record
@@ -534,11 +506,6 @@ def sweep_scenario(
                 "keep_results=False (or drop the store)"
             )
 
-    if shared_pi_cache is True:
-        shared_pi_cache = SharedPiCache()
-    elif shared_pi_cache is False:
-        shared_pi_cache = None
-
     # Resolved up front so a bad batch fails even when every point resumes.
     batch = resolve_batch(spec, batch, parallel)
     run_params = {**spec.run_params, **run_overrides}
@@ -561,9 +528,7 @@ def sweep_scenario(
                 f"{len(summaries)} of {len(values)} points are committed — "
                 "re-run with resume=True to continue"
             )
-        summary = job.compute(
-            shared_pi_cache, parallel=parallel, batch=batch, keep_results=keep_results
-        )
+        summary = job.compute(parallel=parallel, batch=batch, keep_results=keep_results)
         new_points += 1
         if store is not None:
             store.write_record(job.digest, *job.point_record(summary))

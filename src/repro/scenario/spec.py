@@ -335,34 +335,19 @@ class ScenarioSpec:
             return demand
         return demand.demands_at(0)
 
-    def build(self, *, seed: int | None = None, shared_pi_cache: Any = None) -> Any:
+    def build(self, *, seed: int | None = None) -> Any:
         """Construct the ready-to-run simulator for this scenario.
 
         ``seed`` overrides the spec's seed (used for per-trial seeds).
-        ``shared_pi_cache`` is runtime context, not spec data: a live
-        :class:`~repro.sim.pi_cache.SharedPiCache` threaded in by
-        ``run_scenario``/``sweep_scenario`` so counting-engine trials
-        can share join-distribution work.  Passing one requires an
-        engine whose builder declares the ``shared_pi_cache`` parameter.
         """
         demand = self.build_demand()
         d0 = demand if isinstance(demand, DemandVector) else demand.demands_at(0)
-        extra: dict[str, Any] = {}
-        if shared_pi_cache is not None:
-            if not _accepts_param(self.engine.registry.get(self.engine.name), "shared_pi_cache"):
-                raise ConfigurationError(
-                    f"engine {self.engine.name!r} does not accept a shared pi "
-                    "cache (its builder declares no 'shared_pi_cache' "
-                    "parameter); use the counting engine or drop the cache"
-                )
-            extra["shared_pi_cache"] = shared_pi_cache
         return self.engine.build(
             algorithm=self.algorithm.build(),
             demand=demand,
             feedback=self.feedback.build(demand=d0),
             population=self.population.build() if self.population is not None else None,
             seed=self.seed if seed is None else seed,
-            **extra,
         )
 
     # ------------------------------------------------------------------

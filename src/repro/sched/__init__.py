@@ -34,7 +34,7 @@ Quick use::
         ],
         trials=4,
     )
-    run_grid("results/grid", grid, workers=4, shared_pi_cache=True)
+    run_grid("results/grid", grid, workers=4)
     result = collect_grid("results/grid", grid)
     print(result.series().reshape(result.shape))
 

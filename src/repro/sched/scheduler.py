@@ -164,13 +164,12 @@ def _worker_main(
     root: str,
     grid_digest: str,
     ttl: float,
-    shared_pi_cache: bool,
     worker_id: str,
 ) -> None:
     """Entry point of a spawned worker process (module-level: picklable)."""
     store = ResultStore(root)
     grid = load_grid(store, grid_digest)
-    run_worker(store, grid, ttl=ttl, shared_pi_cache=shared_pi_cache, worker_id=worker_id)
+    run_worker(store, grid, ttl=ttl, worker_id=worker_id)
 
 
 def run_grid(
@@ -198,12 +197,19 @@ def run_grid(
     Raises :class:`SchedulerError` if every worker exits while points
     remain uncommitted and unleased (e.g. all workers crashed) — the
     store keeps the committed prefix, so re-running resumes.
+
+    ``shared_pi_cache`` is accepted and ignored.  It used to attach a
+    cross-point join cache to each worker; every process now reads one
+    join-distribution store (see
+    :class:`repro.sim.counting.JoinDistributionCache`), so that reuse is
+    always on.  The keyword stays only because the repository benchmark
+    (``perfbench/workloads.py``) still passes it.
     """
     store = ResultStore.coerce(store)
     init_grid(store, grid)
 
     if workers <= 0:
-        stats = run_worker(store, grid, ttl=ttl, shared_pi_cache=shared_pi_cache)
+        stats = run_worker(store, grid, ttl=ttl)
         status = grid_status(store, grid, ttl=ttl)
         status["computed"] = stats.computed
         if progress is not None:
@@ -221,7 +227,7 @@ def run_grid(
     procs = [
         ctx.Process(
             target=_worker_main,
-            args=(str(store.root), grid_digest, ttl, shared_pi_cache, f"w{i}"),
+            args=(str(store.root), grid_digest, ttl, f"w{i}"),
             name=f"sched-worker-{i}",
         )
         for i in range(workers)

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from repro.obs import get_registry
 from repro.obs import monotonic as obs_monotonic
 from repro.obs import span as obs_span
-from repro.sim.pi_cache import SharedPiCache
 from repro.store import ResultStore
 
 from repro.sched.grid import GridSpec
@@ -68,7 +67,6 @@ def run_worker(
     grid: GridSpec,
     *,
     ttl: float = DEFAULT_LEASE_TTL,
-    shared_pi_cache: SharedPiCache | bool | None = None,
     max_points: int | None = None,
     worker_id: str | None = None,
 ) -> WorkerStats:
@@ -77,18 +75,9 @@ def run_worker(
     Returns once every point of ``grid`` has a committed record in
     ``store`` (some computed here, some by other workers), or after
     committing ``max_points`` new points.  The lease heartbeat fires
-    every ``ttl / 4`` seconds.  ``shared_pi_cache=True`` attaches one
-    in-memory join-kernel cache across the points this worker computes.
+    every ``ttl / 4`` seconds.
     """
     store = ResultStore.coerce(store)
-    pi_cache: SharedPiCache | None
-    if shared_pi_cache is True:
-        pi_cache = SharedPiCache()
-    elif isinstance(shared_pi_cache, SharedPiCache):
-        pi_cache = shared_pi_cache
-    else:
-        pi_cache = None
-
     grid_dir = store.sched_dir / grid.grid_digest()
     manager = LeaseManager(grid_dir, ttl=ttl, worker_id=worker_id)
     stats = WorkerStats()
@@ -124,7 +113,7 @@ def run_worker(
                 started = obs_monotonic()
                 with lease.heartbeat(ttl / 4.0) as lost:
                     with obs_span("sched_point", digest=job.digest, label=job.label):
-                        summary = job.compute(pi_cache)
+                        summary = job.compute()
                 point_seconds.observe(obs_monotonic() - started)
                 # Commit even when the lease was lost: the digest pins
                 # the content, so a double commit writes identical bytes.

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import queue
 import threading
+import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -44,7 +45,6 @@ from repro.obs import span as obs_span
 from repro.scenario.runner import PointJob
 from repro.sched.leases import DEFAULT_LEASE_TTL, Lease, LeaseManager
 from repro.serve.request import ScenarioRequest
-from repro.sim.pi_cache import SharedPiCache
 from repro.store import ResultStore
 
 __all__ = ["DEFAULT_MAX_PENDING", "ScenarioService", "ServiceStatus"]
@@ -58,6 +58,10 @@ DEFAULT_MAX_PENDING = 256
 #: Subdirectory of the store's sched area holding the service's leases
 #: (kept apart from grid leases, which live under per-grid digests).
 SERVE_LEASE_DIR = "serve"
+
+#: How often a worker denied a digest's lease re-checks for the holder's
+#: commit (or for its lease to go stale).
+POLL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -105,9 +109,6 @@ class ScenarioService:
         claimed before another service process may reclaim it.
     max_pending:
         Back-pressure threshold for :meth:`submit`.
-    shared_pi_cache:
-        ``True`` gives each worker thread one in-memory join-kernel
-        cache, kept across the requests it computes.
     """
 
     def __init__(
@@ -117,8 +118,6 @@ class ScenarioService:
         workers: int = 2,
         ttl: float = DEFAULT_LEASE_TTL,
         max_pending: int = DEFAULT_MAX_PENDING,
-        poll: float = 0.05,
-        shared_pi_cache: bool = False,
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers!r}")
@@ -127,8 +126,6 @@ class ScenarioService:
         self.store = ResultStore.coerce(store)
         self.ttl = float(ttl)
         self.max_pending = int(max_pending)
-        self.poll = float(poll)
-        self._use_pi_cache = bool(shared_pi_cache)
         self._queue: queue.Queue[str | None] = queue.Queue()
         self._lock = threading.Lock()
         self._pending: dict[str, PointJob] = {}
@@ -278,18 +275,16 @@ class ScenarioService:
             ttl=self.ttl,
             worker_id=f"serve-{index}",
         )
-        # One cache per thread: SharedPiCache is not thread-safe.
-        pi_cache = SharedPiCache() if self._use_pi_cache else None
         while True:
             digest = self._queue.get()
             if digest is None:
                 return
             try:
-                self._execute(digest, manager, pi_cache)
+                self._execute(digest, manager)
             finally:
                 self._queue.task_done()
 
-    def _execute(self, digest: str, manager: LeaseManager, pi_cache: SharedPiCache | None) -> None:
+    def _execute(self, digest: str, manager: LeaseManager) -> None:
         with self._lock:
             job = self._pending.get(digest)
             stopping = self._stopping
@@ -314,7 +309,7 @@ class ScenarioService:
                     # staleness check — the record, not the lease, decides.
                     if self.store.has_record(digest):
                         break
-                    self._compute(job, lease, pi_cache)
+                    self._compute(job, lease)
                 finally:
                     lease.release()
                 break
@@ -326,11 +321,11 @@ class ScenarioService:
             with self._lock:
                 self._pending.pop(digest, None)
 
-    def _compute(self, job: PointJob, lease: Lease, pi_cache: SharedPiCache | None) -> None:
+    def _compute(self, job: PointJob, lease: Lease) -> None:
         started = obs_monotonic()
         with lease.heartbeat(self.ttl / 4.0):
             with obs_span("serve_compute", digest=job.digest):
-                summary = job.compute(pi_cache)
+                summary = job.compute()
         get_registry().histogram("repro_serve_compute_seconds").observe(
             obs_monotonic() - started
         )
@@ -343,10 +338,9 @@ class ScenarioService:
 
     def _wait_for_commit_or_stale(self, digest: str, manager: LeaseManager) -> bool:
         """Poll until the record lands (True) or the lease goes stale (False)."""
-        event = threading.Event()
         while True:
             if self.store.has_record(digest):
                 return True
             if not manager.is_leased(digest):
                 return False
-            event.wait(self.poll)
+            time.sleep(POLL_S)

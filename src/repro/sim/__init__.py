@@ -27,7 +27,6 @@ from repro.sim.trace import Trace
 from repro.sim.engine import Simulator, SimulationResult
 from repro.sim.counting import CountingSimulator, JoinDistributionCache
 from repro.sim.batched import BatchedCountingSimulator, BatchedRegretTracker, DEFAULT_BATCH
-from repro.sim.pi_cache import SharedPiCache
 from repro.sim.sequential import SequentialSimulator
 from repro.sim.runner import TrialSummary, SweepResult, run_trials
 
@@ -46,7 +45,6 @@ __all__ = [
     "BatchedCountingSimulator",
     "BatchedRegretTracker",
     "DEFAULT_BATCH",
-    "SharedPiCache",
     "SequentialSimulator",
     "TrialSummary",
     "SweepResult",

@@ -26,16 +26,14 @@ stronger claim than distributional bisimulation.  It is pinned
 per-algorithm by ``tests/sim/test_batched.py`` against the scalar round
 programs kept as a reference in ``tests/sim/serial_reference.py``.
 
-The vectorization win comes from the shared per-round math plus
-**cross-lane signature deduplication**: the batch adopts its first
-lane's :class:`~repro.sim.counting.JoinDistributionCache`, so a
+The vectorization win comes from the shared per-round math; on the
+kernel side every lane reads the process's join-distribution store
+(:class:`~repro.sim.counting.JoinDistributionCache`), so a
 mark-probability signature appearing in several lanes the same round
-(or any round) pays for at most one kernel call, with the optional
-cross-trial :class:`~repro.sim.pi_cache.SharedPiCache` behind it.
-Deduplicated kernel calls stay scalar per *distinct* signature on
-purpose: stacking signatures with different active sets would change
-the quadrature's summation order and break bit-identity with the
-scalar kernel.
+(or any round) pays for at most one kernel call.  Kernel calls stay
+scalar per *distinct* signature on purpose: stacking signatures with
+different active sets would change the quadrature's summation order
+and break bit-identity with the scalar kernel.
 
 At B = 1 there is nothing to share, so every step takes its cheapest
 exact form: draws go straight to the lane's ``Generator.binomial`` (the
@@ -340,9 +338,7 @@ class BatchedCountingSimulator(JoinCacheStats):
         self.k = lane0.k
         self.join_strategy = lane0.join_strategy
         self._n_current = int(self.population.population_at(0))
-        # The first lane's cache serves the whole batch: cross-lane
-        # signature dedup is batching's kernel-side win, and a one-lane
-        # run keeps its simulator's cache warm across runs.
+        # The first lane's cache view counts the whole batch's lookups.
         self._join_cache = lane0._join_cache
         # Exact vectorized replay of numpy's binomial inversion sampler;
         # removes the ~10-15 us *fixed* overhead of each per-lane
@@ -392,9 +388,9 @@ class BatchedCountingSimulator(JoinCacheStats):
         rngs = [lane._rng_factory.stream("counting") for lane in self.lanes]
         self.feedback.reset()
         self._n_current = int(self.population.population_at(0))
-        # Rewind every cache counter so back-to-back runs report one run
-        # each; the cache *contents* stay warm (content-addressed, so
-        # reuse across runs is correct and bit-identical).
+        # Rewind the cache counters so back-to-back runs report one run
+        # each; the store stays warm (content-addressed, so reuse across
+        # runs is correct and bit-identical).
         self._join_cache.reset_stats()
 
         if isinstance(self.algorithm, AntAlgorithm):
@@ -498,9 +494,9 @@ class BatchedCountingSimulator(JoinCacheStats):
         ``j`` w.p. ``underload_probs[b, j]`` and join a uniform marked
         task; the default draws one ``Multinomial(idle, pi)`` over the
         exact action distribution, and an empty pool draws nothing.
-        Each *distinct* mark signature resolves through the batch's
-        cache — lanes whose deficits coincide (common in steady state)
-        share one kernel call.
+        Each mark signature resolves through the process store, so lanes
+        whose deficits coincide (common in steady state) share one
+        kernel call.
         """
         k = self.k
         joins = np.zeros((self.batch, k), dtype=np.int64)
@@ -512,19 +508,6 @@ class BatchedCountingSimulator(JoinCacheStats):
                     joins[b] = _sample_joins_per_ant(n_idle, u[b], rng)
             return joins
         distribution = self._join_cache.distribution
-        if not self._join_cache.enabled and self.batch > 1:
-            # Caching off: still dedup signatures within this call so the
-            # batch pays at most one kernel call per distinct signature.
-            round_pis: dict[bytes, np.ndarray] = {}
-
-            def distribution(u_row: np.ndarray) -> np.ndarray:  # noqa: F811
-                key = u_row.tobytes()
-                pi = round_pis.get(key)
-                if pi is None:
-                    pi = self._join_cache.distribution(u_row)
-                    round_pis[key] = pi
-                return pi
-
         for b, (n_idle, rng) in enumerate(lanes):
             if n_idle > 0:
                 joins[b] = rng.multinomial(n_idle, distribution(u[b]))[:k]

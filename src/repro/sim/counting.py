@@ -16,15 +16,15 @@ exchangeable.  The engine therefore simulates loads directly:
   computed by the exact join kernel
   (:func:`repro.util.mathx.exact_join_probabilities`, a loop-free
   Gauss-Legendre quadrature that is exact in law at every k) and the
-  joint join counts drawn as one ``Multinomial(idle, pi)``.  A
-  content-addressed cache keyed on the mark-probability vector lets
-  rounds whose deficit/feedback signature repeats skip the kernel
-  entirely, and an optional :class:`~repro.sim.pi_cache.SharedPiCache`
-  extends that reuse across the trials of a sweep.  This keeps the engine genuinely
-  polynomial in ``k`` — many-task scenarios (k = 64..16384) run exactly;
-  the old ``O(2^k k)`` subset enumerator survives only as the test
-  oracle, and per-idle-ant sampling (``join_strategy="per_ant"``) only
-  as a distributional cross-check.
+  joint join counts drawn as one ``Multinomial(idle, pi)``.  The
+  action distribution is a pure function of the mark-probability
+  vector, so one content-addressed store per process
+  (:class:`JoinDistributionCache`) lets every round, trial and sweep
+  point whose signature repeats skip the kernel entirely.  This keeps
+  the engine genuinely polynomial in ``k`` — many-task scenarios
+  (k = 64..16384) run exactly; the old ``O(2^k k)`` subset enumerator
+  survives only as the test oracle, and per-idle-ant sampling
+  (``join_strategy="per_ant"``) only as a distributional cross-check.
 
 This module holds one trial's configuration (:class:`CountingSimulator`)
 and the join-distribution cache.  The round programs live in
@@ -41,6 +41,9 @@ empirically checkable on a laptop.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from repro.core.ant import AntAlgorithm
@@ -53,7 +56,6 @@ from repro.exceptions import ConfigurationError
 from repro.obs import complete_span, get_registry
 from repro.obs import monotonic as obs_monotonic
 from repro.sim.engine import SimulationResult, _coerce_schedule
-from repro.sim.pi_cache import SharedPiCache
 from repro.util.mathx import exact_join_probabilities
 from repro.util.rng import RngFactory
 
@@ -62,7 +64,9 @@ __all__ = [
     "JoinCacheStats",
     "JoinDistributionCache",
     "JOIN_STRATEGIES",
+    "PI_CACHE_MAX_BYTES",
     "PI_CACHE_MAX_ENTRIES",
+    "clear_join_cache",
 ]
 
 #: How the joint join counts of the idle pool are drawn each decision
@@ -72,96 +76,129 @@ __all__ = [
 #: (O(idle * k)) and exists as a cross-check of the kernel.
 JOIN_STRATEGIES = ("exact", "per_ant")
 
-#: Capacity of the per-simulator join-distribution cache.  Entries are
-#: content-addressed by the mark-probability vector ``u`` (the
-#: deficit/feedback signature), so the cache can never serve a stale
-#: distribution — a demand, load, or population change alters ``u`` and
-#: therefore the key.  Eviction is FIFO once the capacity is reached;
-#: each entry holds one ``(k + 1,)`` float64 array.
-PI_CACHE_MAX_ENTRIES = 512
+#: Entry cap of the process's join-distribution store.  Eviction is
+#: FIFO; each entry is one ``(k,)`` key and one ``(k + 1,)`` float64
+#: array.
+PI_CACHE_MAX_ENTRIES = 4096
+#: Byte budget of the store's keys and values together: about 2000
+#: entries at k = 8192, so the entry cap binds first up to k ~ 4000.
+PI_CACHE_MAX_BYTES = 256 << 20
+
+
+class _JoinStore:
+    """The process's join distributions, keyed by the byte image of ``u``.
+
+    Lookups are lock-free dict reads.  Inserts and evictions hold
+    :attr:`lock`, so concurrent threads (the service's workers) never
+    evict the same entry twice or iterate a dict another thread is
+    growing.  A forked child replaces the lock — a thread that held it
+    at the fork does not exist in the child — and recounts the bytes of
+    the entries it inherited, which stay valid: every value is the
+    kernel's output for its key.
+    """
+
+    def __init__(self) -> None:
+        self.entries: dict[bytes, np.ndarray] = {}
+        self.nbytes = 0
+        self.lock = threading.Lock()
+
+    def put(self, key: bytes, pi: np.ndarray) -> np.ndarray:
+        """Store ``pi`` read-only under ``key``; returns the stored array."""
+        pi.setflags(write=False)
+        size = len(key) + pi.nbytes
+        if size > PI_CACHE_MAX_BYTES:
+            return pi
+        with self.lock:
+            stored = self.entries.get(key)
+            if stored is not None:  # another thread inserted it meanwhile
+                return stored
+            entries = self.entries
+            while entries and (
+                len(entries) >= PI_CACHE_MAX_ENTRIES or self.nbytes + size > PI_CACHE_MAX_BYTES
+            ):
+                old = next(iter(entries))
+                self.nbytes -= len(old) + entries.pop(old).nbytes
+            entries[key] = pi
+            self.nbytes += size
+        return pi
+
+    def clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.nbytes = 0
+
+    def after_fork_in_child(self) -> None:
+        self.lock = threading.Lock()
+        self.nbytes = sum(len(key) + pi.nbytes for key, pi in self.entries.items())
+
+
+_STORE = _JoinStore()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_STORE.after_fork_in_child)
+
+
+def clear_join_cache() -> None:
+    """Empty the process's join-distribution store.
+
+    Never needed for correctness (entries are content-addressed); tests
+    and benchmarks call it to start from a cold store.
+    """
+    _STORE.clear()
 
 
 class JoinDistributionCache:
-    """Content-addressed join-distribution lookup, all tiers in one place.
+    """One engine's view of the process's join-distribution store.
 
     Every :class:`CountingSimulator` owns one, and a batched run
     (:class:`repro.sim.batched.BatchedCountingSimulator`) adopts its
-    first lane's cache for all of its lanes — which is exactly the
-    cross-trial signature deduplication batching exists for, and keeps a
-    one-lane run's cache warm across repeated runs.  Lookup order is the
-    local dict (FIFO-bounded by :data:`PI_CACHE_MAX_ENTRIES`), then the
-    optional cross-trial :class:`~repro.sim.pi_cache.SharedPiCache`,
-    then the kernel itself; fresh results are published back to both
-    tiers.  Both key on the byte image of the mark-probability vector
-    ``u``, so stale reuse is structurally impossible.  Per-tier hit/miss
-    counters live here; engines expose them and :meth:`reset_stats`
-    rewinds them at each run.
+    first lane's for all of its lanes.  :meth:`distribution` reads the
+    process store, runs the kernel on a miss and publishes the result,
+    so a signature costs one kernel call per process, whichever run,
+    trial, sweep point or thread meets it first.  Keys are the byte
+    image of the mark-probability vector ``u``, so stale reuse is
+    structurally impossible, and a hit returns the very bits the kernel
+    would.  ``enabled=False`` (spec ``pi_cache: false``) bypasses the
+    store: the uncached reference.  :attr:`hits` and :attr:`misses`
+    count this engine's lookups since :meth:`reset_stats`, which every
+    run calls.
     """
 
-    def __init__(self, *, enabled: bool, shared: SharedPiCache | None) -> None:
+    def __init__(self, *, enabled: bool) -> None:
         self.enabled = bool(enabled)
-        self.shared = shared if self.enabled else None
-        self._local: dict[bytes, np.ndarray] = {}
-        self.local_hits = 0
-        self.shared_hits = 0
+        self.hits = 0
         self.misses = 0
         # Cumulative process-wide instruments (never reset): the per-run
-        # ints above remain the engines' per-run stats view, the bound
-        # registry counters are the observability view.  Bound once here
-        # so the lookup hot path pays one attribute read + one add.
+        # ints above are the engines' stats view, the bound registry
+        # counters the observability view.
         registry = get_registry()
-        self._obs_tiers = {
-            tier: registry.counter("repro_pi_cache_lookups_total", tier=tier)
-            for tier in ("local", "shared", "miss")
-        }
+        self._obs_hits = registry.counter("repro_pi_cache_lookups_total", tier="local")
+        self._obs_misses = registry.counter("repro_pi_cache_lookups_total", tier="miss")
         self._obs_kernel_seconds = registry.histogram(
             "repro_join_kernel_seconds", method="quadrature"
         )
 
     def reset_stats(self) -> None:
-        """Rewind every per-tier counter (cache *contents* stay warm —
-        they are content-addressed, so reuse across runs is correct)."""
-        self.local_hits = 0
-        self.shared_hits = 0
+        """Rewind the per-run counters (the store stays warm)."""
+        self.hits = 0
         self.misses = 0
 
-    @property
-    def hits(self) -> int:
-        """Total hits (local + shared) since the last reset."""
-        return self.local_hits + self.shared_hits
-
     def stats(self) -> dict[str, int]:
-        """The per-run tier counters as a plain dict (compat/trace view)."""
-        return {
-            "local_hits": self.local_hits,
-            "shared_hits": self.shared_hits,
-            "misses": self.misses,
-        }
+        """The per-run counters as a plain dict (the trace view)."""
+        return {"hits": self.hits, "misses": self.misses}
 
     def distribution(self, u: np.ndarray) -> np.ndarray:
         """The exact action distribution for mark probabilities ``u``."""
         if not self.enabled:
             return self._run_kernel(u)
         key = u.tobytes()
-        pi = self._local.get(key)
+        pi = _STORE.entries.get(key)
         if pi is not None:
-            self.local_hits += 1
-            self._obs_tiers["local"].inc()
+            self.hits += 1
+            self._obs_hits.inc()
             return pi
-        if self.shared is not None:
-            pi = self.shared.fetch(key)
-            if pi is not None:
-                self.shared_hits += 1
-                self._obs_tiers["shared"].inc()
-                self._store_local(key, pi)
-                return pi
         self.misses += 1
-        self._obs_tiers["miss"].inc()
-        pi = self._run_kernel(u)
-        if self.shared is not None:
-            pi = self.shared.put(key, pi)
-        self._store_local(key, pi)
-        return pi
+        self._obs_misses.inc()
+        return _STORE.put(key, self._run_kernel(u))
 
     def _run_kernel(self, u: np.ndarray) -> np.ndarray:
         """Run the exact join kernel, timed through the clock seam.
@@ -178,39 +215,24 @@ class JoinDistributionCache:
         complete_span("join_kernel", dur, method="quadrature", k=int(u.shape[0]))
         return pi
 
-    def _store_local(self, key: bytes, pi: np.ndarray) -> None:
-        if len(self._local) >= PI_CACHE_MAX_ENTRIES:
-            self._local.pop(next(iter(self._local)))
-        self._local[key] = pi
-
 
 class JoinCacheStats:
     """Per-run ``pi_cache_*`` views of an engine's :class:`JoinDistributionCache`.
 
-    :attr:`pi_cache_local_hits` counts lookups served by the engine's own
-    cache, :attr:`pi_cache_shared_hits` those served by the cross-trial
-    :class:`~repro.sim.pi_cache.SharedPiCache`, and
-    :attr:`pi_cache_misses` the lookups that actually ran the kernel;
-    :attr:`pi_cache_hits` is their hit total.  All reset at each run.
+    :attr:`pi_cache_hits` counts lookups served by the process store and
+    :attr:`pi_cache_misses` the lookups that ran the kernel.  Both reset
+    at each run; an uncached engine (``pi_cache=False``) counts neither.
     """
 
     _join_cache: JoinDistributionCache
 
     @property
-    def pi_cache_local_hits(self) -> int:
-        return self._join_cache.local_hits
-
-    @property
-    def pi_cache_shared_hits(self) -> int:
-        return self._join_cache.shared_hits
+    def pi_cache_hits(self) -> int:
+        return self._join_cache.hits
 
     @property
     def pi_cache_misses(self) -> int:
         return self._join_cache.misses
-
-    @property
-    def pi_cache_hits(self) -> int:
-        return self._join_cache.hits
 
 
 class CountingSimulator(JoinCacheStats):
@@ -222,19 +244,15 @@ class CountingSimulator(JoinCacheStats):
     joint join counts are drawn (see :data:`JOIN_STRATEGIES`); both
     choices are exact in distribution.
 
-    ``pi_cache`` enables the content-addressed join-distribution cache,
-    which makes rounds whose mark probabilities repeat (unchanged
-    deficits, or saturated feedback) skip the kernel
-    (:func:`repro.util.mathx.exact_join_probabilities`) entirely.
-    ``shared_pi_cache`` additionally plugs the simulator into a
-    cross-trial :class:`~repro.sim.pi_cache.SharedPiCache`, so *other*
-    trials' kernel work is reused too (keyed by the signature — see that
-    module for why stale reuse is structurally impossible).  Both knobs
-    are pure performance choices: every combination draws from the
-    identical action distribution, and cached runs are bit-identical to
-    uncached ones.  Cache effectiveness is
-    reported by the ``pi_cache_*`` properties (see
-    :class:`JoinCacheStats`).  ``pi_cache=False`` disables every layer.
+    ``pi_cache`` reads the join kernel through the process's
+    content-addressed store (see :class:`JoinDistributionCache`), so
+    rounds, trials and sweep points whose mark probabilities repeat
+    (unchanged deficits, or saturated feedback) skip the kernel
+    (:func:`repro.util.mathx.exact_join_probabilities`) entirely.  It is
+    a pure performance choice: cached runs are bit-identical to uncached
+    ones, and ``pi_cache=False`` is the uncached reference.  Cache
+    effectiveness is reported by the ``pi_cache_*`` properties (see
+    :class:`JoinCacheStats`).
 
     Raises
     ------
@@ -254,20 +272,13 @@ class CountingSimulator(JoinCacheStats):
         population: PopulationSchedule | None = None,
         join_strategy: str = "exact",
         pi_cache: bool = True,
-        shared_pi_cache: SharedPiCache | None = None,
     ) -> None:
         if join_strategy not in JOIN_STRATEGIES:
             raise ConfigurationError(
                 f"join_strategy must be one of {JOIN_STRATEGIES}, got {join_strategy!r}"
             )
         self.join_strategy = join_strategy
-        if shared_pi_cache is not None and not isinstance(shared_pi_cache, SharedPiCache):
-            raise ConfigurationError(
-                "shared_pi_cache must be a repro.sim.pi_cache.SharedPiCache, "
-                f"got {type(shared_pi_cache).__name__}"
-            )
         self.pi_cache_enabled = bool(pi_cache)
-        self.shared_pi_cache = shared_pi_cache if self.pi_cache_enabled else None
         if not isinstance(algorithm, (AntAlgorithm, TrivialAlgorithm, PreciseSigmoidAlgorithm)):
             raise ConfigurationError(
                 "CountingSimulator supports AntAlgorithm, TrivialAlgorithm and "
@@ -292,9 +303,7 @@ class CountingSimulator(JoinCacheStats):
                 "(n is the capacity; schedule sizes must be <= n)"
             )
         self.k = self.schedule.k
-        self._join_cache = JoinDistributionCache(
-            enabled=self.pi_cache_enabled, shared=self.shared_pi_cache
-        )
+        self._join_cache = JoinDistributionCache(enabled=self.pi_cache_enabled)
         if initial_loads is None:
             initial_loads = np.zeros(self.k, dtype=np.int64)
         self.initial_loads = np.asarray(initial_loads, dtype=np.int64).copy()
@@ -314,8 +323,7 @@ class CountingSimulator(JoinCacheStats):
     ) -> SimulationResult:
         """Run ``rounds`` rounds as a one-lane batch; see :meth:`Simulator.run`
         for the options.  The batch adopts this simulator's join cache, so
-        repeated runs stay warm and the ``pi_cache_*`` stats cover the
-        latest run."""
+        the ``pi_cache_*`` stats cover the latest run."""
         from repro.sim.batched import BatchedCountingSimulator
 
         (result,) = BatchedCountingSimulator([self]).run(

@@ -123,7 +123,6 @@ class Simulator:
         self,
         rounds: int,
         *,
-        tracker: RegretTracker | None = None,
         trace_stride: int = 0,
         tail_window: int = 0,
         burn_in: int = 0,
@@ -134,17 +133,16 @@ class Simulator:
         ----------
         rounds:
             Number of rounds ``t = 1 .. rounds``.
-        tracker:
-            Custom :class:`RegretTracker`; by default one is created with
-            the algorithm's ``gamma`` (when it has one) and ``burn_in``.
         trace_stride:
             If positive, record loads every that many rounds.
         tail_window:
             Keep the last ``tail_window`` rounds densely (for
             oscillation analysis).
         burn_in:
-            Rounds excluded from cumulative metrics (ignored when an
-            explicit ``tracker`` is supplied).  Must be < ``rounds``.
+            Rounds excluded from cumulative metrics.  Must be < ``rounds``.
+
+        Regret is tracked with the algorithm's ``gamma`` (1/16 when it
+        has none).
         """
         rounds = check_integer("rounds", rounds, minimum=1)
         burn_in = check_integer("burn_in", burn_in, minimum=0)
@@ -153,9 +151,8 @@ class Simulator:
                 f"burn_in={burn_in} must be < rounds={rounds}; no rounds would "
                 "contribute to the cumulative metrics"
             )
-        if tracker is None:
-            gamma = getattr(self.algorithm, "gamma", 1.0 / 16.0)
-            tracker = RegretTracker(gamma=float(gamma), burn_in=burn_in)
+        gamma = getattr(self.algorithm, "gamma", 1.0 / 16.0)
+        tracker = RegretTracker(gamma=float(gamma), burn_in=burn_in)
         trace = Trace(stride=trace_stride or max(rounds, 1), tail_window=tail_window)
         record_trace = trace_stride > 0 or tail_window > 0
 

@@ -58,7 +58,6 @@ class SequentialSimulator:
         self,
         rounds: int,
         *,
-        tracker: RegretTracker | None = None,
         trace_stride: int = 0,
         tail_window: int = 0,
         burn_in: int = 0,
@@ -71,8 +70,7 @@ class SequentialSimulator:
                 f"burn_in={burn_in} must be < rounds={rounds}; no rounds would "
                 "contribute to the cumulative metrics"
             )
-        if tracker is None:
-            tracker = RegretTracker(gamma=1.0 / 16.0, burn_in=burn_in)
+        tracker = RegretTracker(gamma=1.0 / 16.0, burn_in=burn_in)
         trace = Trace(stride=trace_stride or max(rounds, 1), tail_window=tail_window)
         record_trace = trace_stride > 0 or tail_window > 0
 

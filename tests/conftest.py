@@ -23,6 +23,15 @@ from repro.core.ant import AntAlgorithm
 from repro.env.critical import lambda_for_critical_value
 from repro.env.demands import DemandVector, uniform_demands
 from repro.env.feedback import SigmoidFeedback
+from repro.sim.counting import clear_join_cache
+
+
+@pytest.fixture(autouse=True)
+def cold_join_cache():
+    """Start every test from an empty process join-distribution store, so
+    kernel-call and cache-hit counts do not depend on which tests ran
+    before."""
+    clear_join_cache()
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ import pytest
 from repro.exceptions import SweepInterrupted
 from repro.obs import FakeClock, trace_to, uninstall_tracer, use_clock
 from repro.scenario import ScenarioSpec, run_scenario, sweep_scenario
+from repro.sim.counting import clear_join_cache
 
 VALUES = [0.02, 0.03]
 
@@ -106,8 +107,15 @@ class TestTraceDeterminism:
                 with trace_to(path):
                     run_scenario(binary_spec())
 
+        # Each run starts from an empty join store: a trace records the
+        # kernel calls, and a warm rerun makes none.
+        clear_join_cache()
         traced_run(tmp_path / "a.jsonl")
+        traced_run(tmp_path / "warm.jsonl")
+        clear_join_cache()
         traced_run(tmp_path / "b.jsonl")
         a = (tmp_path / "a.jsonl").read_bytes()
         assert a == (tmp_path / "b.jsonl").read_bytes()
         assert b"join_kernel" in a and b"pi_cache_stats" in a
+        warm = (tmp_path / "warm.jsonl").read_bytes()
+        assert b"join_kernel" not in warm and b"pi_cache_stats" in warm

@@ -17,8 +17,8 @@ def trace_path(tmp_path):
         tracer.complete("join_kernel", 4.0, method="fft", k=4096)
         with tracer.span("counting_run", engine="counting"):
             pass
-        tracer.event("pi_cache_stats", local_hits=90, shared_hits=6, misses=4)
-        tracer.event("pi_cache_stats", local_hits=10, shared_hits=4, misses=6)
+        tracer.event("pi_cache_stats", hits=96, misses=4)
+        tracer.event("pi_cache_stats", hits=14, misses=6)
     return path
 
 
@@ -44,7 +44,7 @@ class TestAggregation:
         cache = trace_report(trace_path)["cache"]
         assert cache["runs"] == 2
         assert cache["lookups"] == 120
-        assert cache["misses"] == 10
+        assert cache["hits"] == 110 and cache["misses"] == 10
         assert cache["hit_ratio"] == pytest.approx(110 / 120)
 
     def test_top_truncates_span_rows(self, trace_path):

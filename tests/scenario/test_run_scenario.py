@@ -363,104 +363,72 @@ class TestStoreCli:
         assert "gc removed 0" in capsys.readouterr().out
 
 
-class TestSharedPiCacheThreading:
-    """run_scenario / sweep_scenario threading one cross-trial cache
-    through every counting-engine trial."""
+class TestProcessJoinCache:
+    """run_scenario / sweep_scenario reading every trial and sweep point
+    through the process's join-distribution store."""
 
-    def _binary_spec(self, **overrides) -> ScenarioSpec:
-        return counting_spec(
-            feedback={"name": "exact"}, gamma_star=None, **overrides
-        )
+    def _binary_spec(self) -> ScenarioSpec:
+        return counting_spec(feedback={"name": "exact"}, gamma_star=None)
 
-    def test_run_scenario_trials_share_the_cache(self, monkeypatch):
+    def test_run_scenario_trials_share_the_store(self, monkeypatch):
         from tests.sim.test_pi_cache import KernelCallCounter
 
-        from repro.sim.pi_cache import SharedPiCache
+        import repro.sim.counting as counting_mod
 
         counter = KernelCallCounter(monkeypatch)
-        cache = SharedPiCache()
-        summary = run_scenario(self._binary_spec(), trials=3, shared_pi_cache=cache)
+        summary = run_scenario(self._binary_spec(), trials=3, batch=0)
         assert summary.trials == 3
-        # The 3 trials run as one batch whose own cache absorbs their
-        # repeats before the shared tier sees them: across all trials the
-        # kernel ran once per distinct signature, and each result was
-        # published to the shared cache.
-        assert counter.calls == len(set(counter.keys)) == cache.misses == len(cache) > 0
+        # Three trials run one at a time, yet across all of them the
+        # kernel ran once per distinct signature, each result stored.
+        assert counter.calls == len(set(counter.keys)) == len(counting_mod._STORE.entries) > 0
 
-    def test_run_scenario_bit_identical_with_and_without_cache(self):
-        from repro.sim.pi_cache import SharedPiCache
+    def test_single_trial_fills_the_store(self):
+        import repro.sim.counting as counting_mod
 
-        spec = self._binary_spec()
-        plain = run_scenario(spec, trials=3)
-        shared = run_scenario(spec, trials=3, shared_pi_cache=SharedPiCache())
-        assert np.array_equal(plain.average_regrets, shared.average_regrets)
-        assert np.array_equal(plain.max_abs_deficits, shared.max_abs_deficits)
-        assert np.array_equal(plain.switches_per_round, shared.switches_per_round)
-
-    def test_parallel_trials_bit_identical_with_cache(self):
-        from repro.sim.pi_cache import SharedPiCache
-
-        spec = self._binary_spec()
-        serial = run_scenario(spec, trials=4)
-        # The cache ships to workers as a token; each worker amortizes
-        # its own trials, and the statistics stay bit-identical.
-        parallel = run_scenario(
-            spec, trials=4, parallel=2, shared_pi_cache=SharedPiCache()
-        )
-        assert np.array_equal(serial.average_regrets, parallel.average_regrets)
-
-    def test_single_trial_accepts_cache(self):
-        from repro.sim.pi_cache import SharedPiCache
-
-        cache = SharedPiCache()
-        result = run_scenario(self._binary_spec(), shared_pi_cache=cache)
+        result = run_scenario(self._binary_spec())
         assert isinstance(result, SimulationResult)
-        assert len(cache) > 0
+        assert len(counting_mod._STORE.entries) > 0
 
-    def test_sweep_scenario_true_builds_and_threads_a_cache(self):
+    def test_parallel_trials_on_a_warm_store(self):
         spec = self._binary_spec()
-        plain = sweep_scenario(
-            spec, "algorithm.gamma", [0.02, 0.025], trials=2, rounds=150
-        )
-        shared = sweep_scenario(
-            spec,
-            "algorithm.gamma",
-            [0.02, 0.025],
-            trials=2,
-            rounds=150,
-            shared_pi_cache=True,
-        )
-        for a, b in zip(plain.summaries, shared.summaries):
+        serial = run_scenario(spec, trials=4)  # warms this process's store
+        # Workers read their own store (a forked worker inherits this
+        # one's entries); either way the statistics stay bit-identical.
+        parallel = run_scenario(spec, trials=4, parallel=2)
+        assert np.array_equal(serial.average_regrets, parallel.average_regrets)
+        assert np.array_equal(serial.max_abs_deficits, parallel.max_abs_deficits)
+        assert np.array_equal(serial.switches_per_round, parallel.switches_per_round)
+
+    def test_run_scenario_bit_identical_cold_and_warm(self):
+        spec = self._binary_spec()
+        cold = run_scenario(spec, trials=3)
+        warm = run_scenario(spec, trials=3)
+        assert np.array_equal(cold.average_regrets, warm.average_regrets)
+        assert np.array_equal(cold.max_abs_deficits, warm.max_abs_deficits)
+        assert np.array_equal(cold.switches_per_round, warm.switches_per_round)
+
+    def test_sweep_points_share_the_store(self, monkeypatch):
+        from tests.sim.test_pi_cache import KernelCallCounter
+
+        spec = self._binary_spec()
+        values = [0.02, 0.025]
+        counter = KernelCallCounter(monkeypatch)
+        sweep_scenario(spec, "algorithm.gamma", values, trials=2, rounds=150)
+        # Across both points and all their trials, the kernel ran once
+        # per distinct signature.
+        assert 0 < counter.calls == len(set(counter.keys))
+
+    def test_warm_sweep_bit_identical_to_cold(self, monkeypatch):
+        from tests.sim.test_pi_cache import KernelCallCounter
+
+        spec = self._binary_spec()
+        values = [0.02, 0.025]
+        counter = KernelCallCounter(monkeypatch)
+        cold = sweep_scenario(spec, "algorithm.gamma", values, trials=2, rounds=150)
+        calls = counter.calls
+        assert calls > 0
+        warm = sweep_scenario(spec, "algorithm.gamma", values, trials=2, rounds=150)
+        assert counter.calls == calls  # the warm sweep ran no kernel
+        for a, b in zip(cold.summaries, warm.summaries):
             assert np.array_equal(a.average_regrets, b.average_regrets)
-
-    def test_sweep_scenario_exposes_callers_cache_stats(self):
-        from repro.sim.pi_cache import SharedPiCache
-
-        cache = SharedPiCache()
-        sweep_scenario(
-            self._binary_spec(),
-            "algorithm.gamma",
-            [0.02, 0.025],
-            trials=2,
-            rounds=150,
-            shared_pi_cache=cache,
-        )
-        assert cache.hits + cache.misses > 0
-        assert cache.hits > 0  # signatures repeat across points/trials
-
-    def test_factory_carries_the_cache_through_pickle(self):
-        from repro.sim.pi_cache import SharedPiCache
-
-        cache = SharedPiCache()
-        factory = ScenarioFactory(self._binary_spec(), cache)
-        revived = pickle.loads(pickle.dumps(factory))
-        assert revived.shared_pi_cache is cache  # same process: same object
-        sim = revived(7)
-        assert sim.shared_pi_cache is cache
-
-    def test_non_counting_engine_rejects_cache(self):
-        from repro.sim.pi_cache import SharedPiCache
-
-        spec = counting_spec(engine={"name": "agent"}, gamma_star=None)
-        with pytest.raises(ConfigurationError, match="shared_pi_cache"):
-            run_scenario(spec, shared_pi_cache=SharedPiCache())
+            assert np.array_equal(a.max_abs_deficits, b.max_abs_deficits)

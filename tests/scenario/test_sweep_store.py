@@ -287,16 +287,16 @@ class TestGuards:
 
 class TestSharedPiCacheWithStore:
     def test_store_holds_records_only_and_matches_uncached(self, tmp_path):
-        # The shared cache lives in memory: a store-backed sweep with it
-        # writes the same results/ tree as one without, and nothing else.
-        for name, shared in (("cached", True), ("plain", None)):
+        # The join cache lives in memory: a store-backed sweep over a
+        # warm cache writes the same results/ tree as the cold sweep
+        # before it, and nothing else.
+        for name in ("plain", "cached"):
             sweep_scenario(
                 binary_spec(),
                 "algorithm.gamma",
                 [0.02, 0.04],
                 trials=2,
                 store=tmp_path / name,
-                shared_pi_cache=shared,
             )
         cached, plain = tmp_path / "cached", tmp_path / "plain"
         assert sorted(p.name for p in cached.iterdir()) == ["results"]

@@ -9,6 +9,7 @@ structurally impossible to observe (only counters tell you it happened).
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.scenario import ScenarioSpec, sweep_scenario
 from repro.sched.leases import LeaseManager
 from repro.serve import ScenarioRequest, ScenarioService
 from repro.serve.service import SERVE_LEASE_DIR
+from repro.sim.counting import clear_join_cache
 from repro.store import ResultStore
 
 from tests.serve.test_request import tiny_spec
@@ -99,6 +101,39 @@ class TestComputeAndDedup:
         assert names == sorted(p.name for p in serve_dir.iterdir())
         for name in names:
             assert (sweep_dir / name).read_bytes() == (serve_dir / name).read_bytes()
+
+    def test_two_workers_compute_distinct_points_concurrently(self, tmp_path, monkeypatch):
+        # The first two computations meet at a barrier, so both worker
+        # threads read and fill the process join store at once; the
+        # records still match a cold-store sweep's byte for byte.
+        values = [0.02, 0.03, 0.04, 0.05]
+        barrier = threading.Barrier(2, timeout=DEADLINE)
+        lock = threading.Lock()
+        computing: list[str] = []
+        real = scenario_runner_mod.run_trials
+
+        def paired(*args, **kwargs):
+            with lock:
+                computing.append(threading.current_thread().name)
+                first_two = len(computing) <= 2
+            if first_two:
+                barrier.wait()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_runner_mod, "run_trials", paired)
+        serve_store = ResultStore(tmp_path / "serve")
+        with ScenarioService(serve_store, workers=2) as service:
+            digests = [service.submit(request_for(gamma))[0] for gamma in values]
+            wait_for(lambda: all(service.state_of(d) == "committed" for d in digests))
+        assert len(set(computing[:2])) == 2 and service.status().failed == 0
+
+        clear_join_cache()
+        sweep_store = ResultStore(tmp_path / "sweep")
+        sweep_scenario(tiny_spec(), "algorithm.gamma", values, trials=2, store=sweep_store)
+        files = sorted(p.relative_to(sweep_store.root) for p in sweep_store.root.rglob("*.*"))
+        assert len(files) == 2 * len(values)  # a manifest and a payload per point
+        for rel in files:
+            assert (serve_store.root / rel).read_bytes() == (sweep_store.root / rel).read_bytes()
 
     def test_duplicate_in_flight_submissions_coalesce(self, tmp_path, monkeypatch):
         spy = RunTrialsSpy(monkeypatch, delay=0.3)

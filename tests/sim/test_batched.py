@@ -29,7 +29,7 @@ from repro.env.feedback import ExactBinaryFeedback, SigmoidFeedback
 from repro.env.population import StepPopulation
 from repro.exceptions import ConfigurationError
 from repro.sim.batched import DEFAULT_BATCH, BatchedCountingSimulator
-from repro.sim.counting import CountingSimulator
+from repro.sim.counting import CountingSimulator, clear_join_cache
 from repro.util.mathx import exact_join_probabilities
 
 from tests.sim.serial_reference import run_serial
@@ -179,18 +179,21 @@ class TestActionDistributionOracle:
         assert tv_distance(pi, mc) < bound
 
 
+def _cold_run_misses(sim) -> int:
+    """Run ``sim`` from an empty join store; its kernel calls."""
+    clear_join_cache()
+    sim.run(ROUNDS)
+    return sim.pi_cache_misses
+
+
 class TestBatchCache:
     def test_cross_lane_dedup_beats_per_lane_caches(self):
         factory = CONFIGS["ant_exact_binary"]  # integer signatures repeat
-        serial_misses = sum(
-            (lambda sim: (sim.run(ROUNDS), sim.pi_cache_misses)[1])(factory(s))
-            for s in SEEDS
-        )
+        serial_misses = sum(_cold_run_misses(factory(s)) for s in SEEDS)
         engine = BatchedCountingSimulator([factory(s) for s in SEEDS])
-        engine.run(ROUNDS)
-        assert engine.pi_cache_misses > 0
-        # One batch-level cache sees every lane's signatures: it can only
-        # miss on the *distinct* ones, so B per-lane caches miss at least
+        assert _cold_run_misses(engine) > 0
+        # The batch's lanes read one store: it can only miss on the
+        # *distinct* signatures, so B cold single-lane runs miss at least
         # as often.
         assert engine.pi_cache_misses <= serial_misses
         assert engine.pi_cache_hits > 0
@@ -204,12 +207,21 @@ class TestBatchCache:
         second = engine.pi_cache_hits + engine.pi_cache_misses
         assert 0 < second <= first
 
-    def test_cache_off_still_dedups_within_a_round(self):
-        factory = CONFIGS["ant_cache_off"]
-        engine = BatchedCountingSimulator([factory(s) for s in SEEDS])
+    def test_cache_off_calls_the_kernel_for_every_join(self, monkeypatch):
+        from tests.sim.test_pi_cache import KernelCallCounter
+
+        counter = KernelCallCounter(monkeypatch)
+        cached = BatchedCountingSimulator([CONFIGS["ant"](s) for s in SEEDS])
+        cached_out = cached.run(60)
+        calls = counter.calls
+        engine = BatchedCountingSimulator([CONFIGS["ant_cache_off"](s) for s in SEEDS])
         out = engine.run(60)
+        # The uncached reference: one kernel call per lane join, nothing
+        # counted, and the very bits of the cached batch.
+        assert counter.calls - calls == cached.pi_cache_hits + cached.pi_cache_misses
         assert engine.pi_cache_hits == 0 and engine.pi_cache_misses == 0
-        assert len(out) == len(SEEDS)
+        for a, b in zip(cached_out, out):
+            _assert_results_bit_identical(a, b)
 
 
 class TestValidation:

@@ -1,17 +1,30 @@
 """Regression tests for the counting engine's join-distribution cache.
 
-The cache is content-addressed by the mark-probability vector ``u`` (the
-deficit/feedback signature), so correctness splits into three claims:
+The cache is one store per process, content-addressed by the
+mark-probability vector ``u`` (the deficit/feedback signature), so
+correctness splits into four claims:
 
 * a round whose signature repeats reuses the cached distribution (the
   kernel is *not* called again);
 * a demand or population change alters the signature and forces a
   recompute — no stale reuse;
 * caching is observationally invisible: cached and uncached runs of the
-  same scenario produce bit-identical traces.
+  same scenario produce bit-identical traces;
+* the store stays bounded and consistent under concurrent threads and
+  across ``fork``.
+
+The suite's autouse fixture empties the store before every test.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,7 +35,8 @@ from repro.env.critical import lambda_for_critical_value
 from repro.env.demands import DemandVector, StepDemandSchedule, uniform_demands
 from repro.env.feedback import ExactBinaryFeedback, SigmoidFeedback
 from repro.env.population import StepPopulation
-from repro.sim.counting import PI_CACHE_MAX_ENTRIES, CountingSimulator
+from repro.sim.counting import CountingSimulator, JoinDistributionCache, clear_join_cache
+from repro.util.mathx import exact_join_probabilities
 
 
 class KernelCallCounter:
@@ -88,7 +102,7 @@ class TestCacheReuse:
         monkeypatch.setattr(counting_mod, "PI_CACHE_MAX_ENTRIES", 3)
         sim = _binary_sim()
         sim.run(400)
-        assert len(sim._join_cache._local) <= 3
+        assert len(counting_mod._STORE.entries) <= 3
 
 
 class TestCacheInvalidation:
@@ -196,211 +210,231 @@ class TestCacheTransparency:
         with pytest.raises(TypeError, match="join_kernel_method"):
             _binary_sim(join_kernel_method="quadrature")
 
-
-class TestSharedPiCacheObject:
-    """Unit behaviour of the cross-trial cache store itself."""
-
-    def test_put_get_roundtrip_readonly(self):
-        from repro.sim.pi_cache import SharedPiCache
-
-        cache = SharedPiCache()
-        pi = np.array([0.25, 0.25, 0.5])
-        key = SharedPiCache.key(np.array([0.1, 0.2]))
-        stored = cache.put(key, pi)
-        assert not stored.flags.writeable
-        assert cache.fetch(key) is stored
-        np.testing.assert_array_equal(stored, pi)
-        # The stored entry is a copy: mutating the source cannot reach it.
-        pi[0] = 99.0
-        np.testing.assert_array_equal(cache.fetch(key), [0.25, 0.25, 0.5])
-
-    def test_hit_miss_counters(self):
-        from repro.sim.pi_cache import SharedPiCache
-
-        cache = SharedPiCache()
-        key = SharedPiCache.key(np.array([0.5]))
-        assert cache.fetch(key) is None
-        cache.put(key, np.array([0.5, 0.5]))
-        assert cache.fetch(key) is not None
-        assert (cache.hits, cache.misses) == (1, 1)
-        cache.clear()
-        assert (cache.hits, cache.misses) == (0, 0) and len(cache) == 0
-
-    def test_fifo_eviction_bounds_capacity(self):
-        from repro.sim.pi_cache import SharedPiCache
-
-        cache = SharedPiCache(max_entries=2)
-        keys = [SharedPiCache.key(np.array([p])) for p in (0.1, 0.2, 0.3)]
-        for key in keys:
-            cache.put(key, np.array([0.5, 0.5]))
-        assert len(cache) == 2
-        assert cache.fetch(keys[0]) is None  # oldest evicted
-        assert cache.fetch(keys[2]) is not None
-
-    def test_key_embeds_method_and_signature(self):
-        # The key is the signature's byte image, as in the local tier.
-        from repro.sim.pi_cache import SharedPiCache
-
-        u = np.array([0.3, 0.7])
-        assert SharedPiCache.key(u) == u.tobytes()
-        assert SharedPiCache.key(u) != SharedPiCache.key(u + 1e-16)
-        assert SharedPiCache.key(u) == SharedPiCache.key(u.copy())
-
-    def test_pickle_resolves_to_same_instance_in_process(self):
-        import pickle
-
-        from repro.sim.pi_cache import SharedPiCache
-
-        cache = SharedPiCache()
-        key = SharedPiCache.key(np.array([0.4]))
-        cache.put(key, np.array([0.4, 0.6]))
-        revived = pickle.loads(pickle.dumps(cache))
-        assert revived is cache  # same live object, contents intact
-
-    def test_unknown_token_builds_fresh_process_local_cache(self):
-        # What a ProcessPoolExecutor worker does on first unpickle: no
-        # registered instance for the token, so a fresh empty cache is
-        # created and registered under it for the *next* trial.
-        from repro.sim import pi_cache as pc
-
-        first = pc._resolve_token("feedbeef" * 4, 128)
-        again = pc._resolve_token("feedbeef" * 4, 128)
-        assert first is again
-        assert len(first) == 0 and first.max_entries == 128
-
-    def test_worker_side_cache_survives_between_trials(self):
-        # Regression: between two pool.map trials a worker holds NO
-        # strong reference to the cache (the executor drops the factory
-        # once the trial returns).  A cache materialized from a token
-        # must therefore be pinned for the process lifetime, or every
-        # trial would start cold and amortization would silently vanish.
-        import gc
-
-        from repro.sim import pi_cache as pc
-        from repro.sim.pi_cache import SharedPiCache
-
-        token = "cafef00d" * 4
-        first = pc._resolve_token(token, 64)  # trial 1 unpickles
-        key = SharedPiCache.key(np.array([0.3]))
-        first.put(key, np.array([0.3, 0.7]))
-        del first  # trial 1 finished; worker drops everything
-        gc.collect()
-        again = pc._resolve_token(token, 64)  # trial 2 unpickles
-        assert again.fetch(key) is not None, "worker cache was garbage-collected between trials"
-
-    def test_home_process_cache_is_not_leaked_by_the_registry(self):
-        # In the constructing process the registry must stay weak: once
-        # the owner drops the cache, its entries are freed.
-        import gc
-        import weakref
-
-        from repro.sim.pi_cache import SharedPiCache
-
-        cache = SharedPiCache()
-        ref = weakref.ref(cache)
-        del cache
-        gc.collect()
-        assert ref() is None
-
-    def test_rejects_bad_capacity(self):
-        from repro.sim.pi_cache import SharedPiCache
-
-        with pytest.raises(Exception, match="max_entries"):
-            SharedPiCache(max_entries=0)
-
-
-class TestPerRunCounterReset:
-    """Every cache counter — local, shared, miss — must rewind at
-    :meth:`run` so back-to-back runs on ONE simulator report per-run
-    stats while the caches themselves stay warm."""
-
-    def test_local_tier_misses_count_only_the_current_run(self, monkeypatch):
-        counter = KernelCallCounter(monkeypatch)
-        sim = _binary_sim()
-        sim.run(150)
-        assert sim.pi_cache_local_hits > 0 and sim.pi_cache_misses > 0
-        calls_before = counter.calls
-        sim.run(150)
-        # Misses now equal exactly the kernel calls of the *second* run;
-        # stale accumulation would add the first run's count on top.
-        assert sim.pi_cache_misses == counter.calls - calls_before
-        assert sim.pi_cache_hits == sim.pi_cache_local_hits
-
-    def test_shared_tier_hits_rewind(self):
-        from repro.sim.pi_cache import SharedPiCache
-
-        cache = SharedPiCache()
-        make = lambda: _binary_sim(shared_pi_cache=cache)  # noqa: E731
-        make().run(200)
-        sim2 = make()
-        sim2.run(200)
-        assert sim2.pi_cache_shared_hits > 0 and sim2.pi_cache_misses == 0
-        sim2.run(200)
-        # Every shared entry is by now also in sim2's local cache, so the
-        # second run cannot touch the shared tier at all; a stale counter
-        # would still show the first run's hits.
-        assert sim2.pi_cache_shared_hits == 0
-        assert sim2.pi_cache_hits == sim2.pi_cache_local_hits + sim2.pi_cache_shared_hits
-
-
-class TestSharedPiCacheInSimulator:
-    """The counting engine reading through a cross-trial cache."""
-
-    def _shared_pair(self, **kwargs):
-        from repro.sim.pi_cache import SharedPiCache
-
-        cache = SharedPiCache()
-        make = lambda: _binary_sim(shared_pi_cache=cache, **kwargs)  # noqa: E731
-        return cache, make
-
-    def test_second_simulator_reuses_first_ones_kernel_work(self, monkeypatch):
-        counter = KernelCallCounter(monkeypatch)
-        cache, make = self._shared_pair()
-        make().run(200)
-        first_calls = counter.calls
-        assert first_calls > 0
-        sim2 = make()
-        sim2.run(200)
-        # Identical seed -> identical signatures -> every lookup that the
-        # local cache misses is served by the shared cache, zero recompute.
-        assert counter.calls == first_calls
-        assert sim2.pi_cache_misses == 0
-        assert sim2.pi_cache_shared_hits > 0
-
-    def test_stats_distinguish_shared_from_local_hits(self):
-        cache, make = self._shared_pair()
-        sim1 = make()
-        sim1.run(200)
-        assert sim1.pi_cache_shared_hits == 0  # nothing to share yet
-        assert sim1.pi_cache_local_hits > 0
-        assert sim1.pi_cache_hits == sim1.pi_cache_local_hits
-        sim2 = make()
-        sim2.run(200)
-        assert sim2.pi_cache_shared_hits > 0
-        assert sim2.pi_cache_hits == (
-            sim2.pi_cache_local_hits + sim2.pi_cache_shared_hits
-        )
-
-    def test_shared_cache_run_bit_identical_to_unshared(self):
-        cache, make = self._shared_pair()
-        make().run(150)  # warm the shared cache
-        warmed = make().run(150, trace_stride=1).trace.loads
-        plain = _binary_sim().run(150, trace_stride=1).trace.loads
-        assert np.array_equal(warmed, plain)
-
-    def test_pi_cache_false_disables_shared_layer_too(self, monkeypatch):
-        counter = KernelCallCounter(monkeypatch)
-        cache, make = self._shared_pair(pi_cache=False)
-        make().run(100)
-        make().run(100)
-        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
-        assert counter.calls > 0
-
     def test_quadrature_method_accepted_end_to_end(self):
         # The default (and only) kernel is the quadrature one.
         out = _binary_sim().run(80)
         assert out.rounds == 80
 
-    def test_rejects_non_cache_object(self):
-        with pytest.raises(Exception, match="shared_pi_cache"):
-            _binary_sim(shared_pi_cache={"not": "a cache"})
+
+class TestPerRunCounterReset:
+    """Both cache counters must rewind at :meth:`run` so back-to-back
+    runs on ONE simulator report per-run stats while the store stays
+    warm."""
+
+    def test_local_tier_misses_count_only_the_current_run(self, monkeypatch):
+        counter = KernelCallCounter(monkeypatch)
+        sim = _binary_sim()
+        sim.run(150)
+        assert sim.pi_cache_hits > 0 and sim.pi_cache_misses > 0
+        calls_before = counter.calls
+        sim.run(150)
+        # Misses now equal exactly the kernel calls of the *second* run;
+        # stale accumulation would add the first run's count on top.
+        assert sim.pi_cache_misses == counter.calls - calls_before
+
+
+def _store_lookup_counts() -> tuple[int, int]:
+    """One lookup of a fixed signature in this process: (hits, misses)."""
+    cache = JoinDistributionCache(enabled=True)
+    cache.distribution(np.array([0.2, 0.4, 0.6]))
+    return cache.hits, cache.misses
+
+
+class TestProcessStore:
+    """One store per process serves every engine, run, trial and thread."""
+
+    def test_second_simulator_reuses_first_ones_kernel_work(self, monkeypatch):
+        counter = KernelCallCounter(monkeypatch)
+        _binary_sim().run(200)
+        first_calls = counter.calls
+        assert first_calls > 0
+        sim2 = _binary_sim()
+        sim2.run(200)
+        # Identical seed -> identical signatures -> every lookup is a hit.
+        assert counter.calls == first_calls
+        assert sim2.pi_cache_misses == 0 and sim2.pi_cache_hits > 0
+
+    def test_warm_store_run_bit_identical_to_uncached_run(self):
+        cold = _binary_sim().run(150, trace_stride=1).trace.loads
+        warm_sim = _binary_sim()
+        warm = warm_sim.run(150, trace_stride=1).trace.loads
+        assert warm_sim.pi_cache_misses == 0  # served wholly by the store
+        plain = _binary_sim(pi_cache=False).run(150, trace_stride=1).trace.loads
+        assert np.array_equal(cold, warm) and np.array_equal(warm, plain)
+
+    def test_pi_cache_false_bypasses_the_store(self, monkeypatch):
+        counter = KernelCallCounter(monkeypatch)
+        sims = [_binary_sim(pi_cache=False) for _ in range(2)]
+        for sim in sims:
+            sim.run(100)
+        # Neither run reads or fills the store; both pay the kernel.
+        assert len(counting_mod._STORE.entries) == 0
+        assert all(sim.pi_cache_hits == sim.pi_cache_misses == 0 for sim in sims)
+        assert counter.calls > 0
+
+    def test_stored_arrays_are_read_only_kernel_bits(self):
+        cache = JoinDistributionCache(enabled=True)
+        u = np.array([0.1, 0.2, 0.3, 0.4])
+        pi = cache.distribution(u)
+        assert not pi.flags.writeable
+        assert pi.tobytes() == exact_join_probabilities(u).tobytes()
+        assert counting_mod._STORE.entries[u.tobytes()] is pi
+        # Writing into the caller's signature cannot reach the entry.
+        u[0] = 0.9
+        assert pi.tobytes() == exact_join_probabilities(np.array([0.1, 0.2, 0.3, 0.4])).tobytes()
+
+    def test_hit_miss_counters_are_per_cache_over_one_store(self):
+        u = np.array([0.5, 0.25])
+        first = JoinDistributionCache(enabled=True)
+        first.distribution(u)
+        first.distribution(u)
+        assert (first.hits, first.misses) == (1, 1)
+        # A second cache starts its own counts but reads the same store.
+        second = JoinDistributionCache(enabled=True)
+        second.distribution(u)
+        assert (second.hits, second.misses) == (1, 0)
+        clear_join_cache()
+        assert len(counting_mod._STORE.entries) == 0 and counting_mod._STORE.nbytes == 0
+        second.distribution(u)
+        assert (second.hits, second.misses) == (1, 1)
+
+    def test_key_is_the_signature_byte_image(self):
+        cache = JoinDistributionCache(enabled=True)
+        u = np.array([0.3, 0.7])
+        pi = cache.distribution(u)
+        assert cache.distribution(u.copy()) is pi
+        # One ulp away is a different key, hence a miss.
+        near = np.nextafter(u, 1.0)
+        assert cache.distribution(near) is not pi
+        assert set(counting_mod._STORE.entries) == {u.tobytes(), near.tobytes()}
+        assert (cache.hits, cache.misses) == (1, 2)
+
+    def test_fifo_eviction_bounds_entries(self, monkeypatch):
+        monkeypatch.setattr(counting_mod, "PI_CACHE_MAX_ENTRIES", 2)
+        cache = JoinDistributionCache(enabled=True)
+        signatures = [np.full(4, p) for p in (0.1, 0.2, 0.3)]
+        for u in signatures:
+            cache.distribution(u)
+        entries = counting_mod._STORE.entries
+        assert len(entries) == 2
+        assert signatures[0].tobytes() not in entries  # oldest evicted
+        assert signatures[2].tobytes() in entries
+
+    def test_byte_budget_bounds_the_store(self, monkeypatch):
+        entry = 4 * 8 + 5 * 8  # a k = 4 key and its (k + 1,) value
+        monkeypatch.setattr(counting_mod, "PI_CACHE_MAX_BYTES", 2 * entry)
+        cache = JoinDistributionCache(enabled=True)
+        for p in (0.1, 0.2, 0.3):
+            cache.distribution(np.full(4, p))
+        store = counting_mod._STORE
+        assert len(store.entries) == 2 and store.nbytes == 2 * entry
+        # A signature larger than the whole budget is served, not stored.
+        big = np.full(16, 0.5)
+        pi = cache.distribution(big)
+        assert pi.tobytes() == exact_join_probabilities(big).tobytes()
+        assert big.tobytes() not in store.entries and store.nbytes == 2 * entry
+
+    def test_concurrent_lookups_and_inserts_stay_bounded(self, monkeypatch):
+        max_entries, max_bytes = 6, 500
+        monkeypatch.setattr(counting_mod, "PI_CACHE_MAX_ENTRIES", max_entries)
+        monkeypatch.setattr(counting_mod, "PI_CACHE_MAX_BYTES", max_bytes)
+        rng = np.random.default_rng(3)
+        signatures = [rng.random(k) for k in (3, 4, 5, 6) for _ in range(6)]
+        expected = {u.tobytes(): exact_join_probabilities(u).tobytes() for u in signatures}
+        store = counting_mod._STORE
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def worker(seed: int) -> None:
+            cache = JoinDistributionCache(enabled=True)
+            picks = np.random.default_rng(seed).integers(len(signatures), size=400)
+            try:
+                for i in picks:
+                    u = signatures[i]
+                    assert cache.distribution(u).tobytes() == expected[u.tobytes()]
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        def monitor() -> None:
+            while not done.is_set():
+                with store.lock:
+                    entries = len(store.entries)
+                    nbytes = sum(len(key) + pi.nbytes for key, pi in store.entries.items())
+                    if entries > max_entries or nbytes > max_bytes or nbytes != store.nbytes:
+                        errors.append(AssertionError(f"{entries} entries, {nbytes} bytes"))
+                time.sleep(0.0005)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            watcher = threading.Thread(target=monitor)
+            watcher.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            done.set()
+            watcher.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in (*threads, watcher))
+        assert not errors, errors[:3]
+        assert 0 < len(store.entries) <= max_entries and store.nbytes <= max_bytes
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_while_another_thread_holds_the_insert_lock(self):
+        store = counting_mod._STORE
+        held, release = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            with store.lock:
+                held.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        try:
+            assert held.wait(10)
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns about forking a threaded process.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the child: one miss, one insert, then exit
+                code = 1
+                try:
+                    cache = JoinDistributionCache(enabled=True)
+                    u = np.array([0.25, 0.5, 0.75])
+                    pi = cache.distribution(u)
+                    stored = store.entries.get(u.tobytes()) is pi
+                    code = 0 if stored and cache.misses == 1 else 1
+                finally:
+                    os._exit(code)
+            deadline = time.monotonic() + 10
+            while True:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    break
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the forked child blocked on the inherited insert lock")
+                time.sleep(0.01)
+            assert os.waitstatus_to_exitcode(status) == 0
+        finally:
+            release.set()
+            holder.join(10)
+        assert not holder.is_alive()
+
+    def test_pool_worker_store_survives_between_tasks(self):
+        # A worker process keeps its store from one task to the next, so
+        # a pool amortizes the kernel across the trials each worker runs.
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            first = pool.submit(_store_lookup_counts).result()
+            second = pool.submit(_store_lookup_counts).result()
+        assert (first, second) == ((0, 1), (1, 0))
+
+    def test_rejects_removed_shared_pi_cache_option(self):
+        # The process store replaced the opt-in cross-trial cache.
+        with pytest.raises(TypeError, match="shared_pi_cache"):
+            _binary_sim(shared_pi_cache=True)
