@@ -39,9 +39,8 @@ from repro.env.demands import powerlaw_demands, uniform_demands
 from repro.env.feedback import SigmoidFeedback
 from repro.obs import get_registry
 from repro.obs import monotonic as obs_monotonic
-from repro.scenario import ScenarioFactory, ScenarioSpec, run_scenario
+from repro.scenario import ScenarioFactory, ScenarioSpec
 from repro.sim.counting import CountingSimulator, clear_join_cache
-from repro.sim.runner import run_trials
 from repro.util.mathx import enumerate_subset_join_probabilities, exact_join_probabilities
 
 SPEEDUP_FLOOR = 10.0  # required kernel speedup over enumeration at k = 12
@@ -202,31 +201,30 @@ def _shared_cache_comparison() -> dict:
     run (shared across trials); assert bit-identical statistics and
     report how much kernel work sharing saved.
 
-    Trials run one at a time (``batch=0``), as they do on process
-    workers: in a batch the lanes' repeats within a round would hide the
-    cross-trial ones."""
+    Both sides run the trials one at a time, as process workers do, on
+    the seeds ``run_trials`` derives: in a batch the lanes' repeats
+    within a round would hide the cross-trial ones."""
     spec = _shared_sweep_spec()
     factory = ScenarioFactory(spec)
+    root = np.random.SeedSequence(spec.seed)
+    seeds = [int(s.generate_state(1)[0]) for s in root.spawn(SHARED_SWEEP_TRIALS)]
     misses = get_registry().counter("repro_pi_cache_lookups_total", tier="miss")
 
-    def cold_factory(seed: int):
+    def run(clear_every_trial: bool) -> tuple[np.ndarray, int, float]:
         clear_join_cache()
-        return factory(seed)
+        before = misses.value
+        t0 = obs_monotonic()
+        regrets = []
+        for seed in seeds:
+            if clear_every_trial:
+                clear_join_cache()
+            result = factory(seed).run(spec.rounds, **spec.run_params)
+            regrets.append(result.metrics.average_regret)
+        return np.array(regrets), int(misses.value - before), obs_monotonic() - t0
 
-    before = misses.value
-    t0 = obs_monotonic()
-    solo = run_trials(
-        cold_factory, spec.rounds, SHARED_SWEEP_TRIALS, seed=spec.seed, batch=0, keep_results=False
-    )
-    t_solo = obs_monotonic() - t0
-    solo_misses = int(misses.value - before)
-    clear_join_cache()
-    before = misses.value
-    t0 = obs_monotonic()
-    shared = run_scenario(spec, trials=SHARED_SWEEP_TRIALS, batch=0, keep_results=False)
-    t_shared = obs_monotonic() - t0
-    shared_misses = int(misses.value - before)
-    assert np.array_equal(solo.average_regrets, shared.average_regrets), (
+    solo_regrets, solo_misses, t_solo = run(clear_every_trial=True)
+    shared_regrets, shared_misses, t_shared = run(clear_every_trial=False)
+    assert np.array_equal(solo_regrets, shared_regrets), (
         "shared-store run is not bit-identical to the per-trial-cache run"
     )
     assert shared_misses < solo_misses, "no cross-trial signature ever repeated"

@@ -41,10 +41,9 @@ class SweepInterrupted(ReproError, RuntimeError):
 
     Raised by ``sweep_scenario(..., max_new_points=N)`` once the budget
     of newly computed points is exhausted.  Completed points are already
-    committed to the store, so re-running the same sweep with
-    ``resume=True`` continues from where it stopped — this is how the
-    interrupted-sweep CI smoke simulates (deterministically) a sweep
-    killed mid-run.
+    committed to the store, so re-running the same sweep continues from
+    where it stopped — this is how the interrupted-sweep CI smoke
+    simulates (deterministically) a sweep killed mid-run.
     """
 
 

@@ -6,10 +6,10 @@ Usage::
     repro-experiments run E3 [--scale quick|full] [--seed N]
     repro-experiments run all [--scale quick]
     repro-experiments scenario run <file.json> [--rounds N] [--trials T]
-                                               [--parallel P] [--batch B] [--seed S]
+                                               [--parallel P] [--seed S]
     repro-experiments scenario sweep <file.json> --param algorithm.gamma
         --values 0.02,0.03 [--trials T] [--rounds N] [--parallel P]
-        [--store DIR] [--resume] [--max-points N] [--out results.json]
+        [--store DIR] [--max-points N] [--out results.json]
     repro-experiments scenario show <file.json>
     repro-experiments scenario components
     repro-experiments store ls <dir> [--json]
@@ -36,8 +36,8 @@ kernel time per method, and cache hit ratios.  Tracing never changes
 records or digests — it is byte-transparent to the store.
 
 ``scenario sweep --store DIR`` commits every completed point to the
-store; adding ``--resume`` serves already-committed points from disk
-(bit-identical to recomputing them) and executes only the missing ones.
+store and serves already-committed points from disk (bit-identical to
+recomputing them), so only the missing ones execute.
 ``--max-points N`` deterministically simulates an interrupted sweep: the
 process stops with exit status 3 once N new points were computed — the
 committed prefix stays resumable.  ``--out`` writes the aggregate series
@@ -95,13 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--rounds", type=int, default=None, help="override spec.rounds")
     srun.add_argument("--trials", type=int, default=1, help="independent trials")
     srun.add_argument("--parallel", type=int, default=0, help="worker processes")
-    srun.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        help="counting-engine lanes per batched chunk (0 runs one trial at a time; "
-        "default: the spec's batch param, else min(trials, 16))",
-    )
     srun.add_argument("--seed", type=int, default=None, help="override spec.seed")
     srun.add_argument(
         "--trace", default=None, metavar="FILE", help="append obs trace spans to this JSONL file"
@@ -122,12 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     ssweep.add_argument("--rounds", type=int, default=None, help="override spec.rounds")
     ssweep.add_argument("--parallel", type=int, default=0, help="worker processes")
     ssweep.add_argument(
-        "--store", default=None, help="result-store root; completed points are committed here"
-    )
-    ssweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="serve points already committed to --store instead of recomputing",
+        "--store",
+        default=None,
+        help="result-store root; completed points are committed here and served from it",
     )
     ssweep.add_argument(
         "--max-points",
@@ -357,7 +347,6 @@ def _scenario_sweep_main(args: argparse.Namespace) -> int:
                 trials=args.trials,
                 parallel=args.parallel,
                 store=args.store,
-                resume=args.resume,
                 max_new_points=args.max_points,
             )
     except SweepInterrupted as exc:
@@ -582,7 +571,6 @@ def _scenario_main(args: argparse.Namespace) -> int:
             rounds=args.rounds,
             trials=args.trials,
             parallel=args.parallel,
-            batch=args.batch,
             seed=args.seed,
         )
     dt = obs_monotonic() - t0

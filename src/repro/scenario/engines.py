@@ -10,12 +10,10 @@ params.  Four engines ship with the library:
 * ``counting`` — :class:`~repro.sim.counting.CountingSimulator`, the
   O(k)-per-round load-level engine (Ant / trivial / precise sigmoid
   under i.i.d. noise; the only engine supporting dynamic populations);
-* ``counting_batched`` — the counting engine with an explicit lane
-  count: its ``batch`` param sets how many trials ``run_scenario`` /
-  ``sweep_scenario`` / grid workers / the service advance per
-  :class:`~repro.sim.batched.BatchedCountingSimulator` chunk.  Plain
-  ``counting`` specs batch by default too (``min(trials, 16)`` lanes),
-  so this name exists for digest compatibility of existing specs;
+* ``counting_batched`` — the ``counting`` engine under an older name,
+  kept so existing specs keep their digests.  Its ``batch`` and
+  ``backend`` params are validated and otherwise inert: the trial
+  runner alone decides how many lanes a chunk holds;
 * ``sequential`` — :class:`~repro.sim.sequential.SequentialSimulator`,
   the Appendix D.1 one-ant-per-round scheduler.
 """
@@ -40,7 +38,6 @@ __all__ = [
     "register_engine",
     "unregister_engine",
     "POPULATION_AWARE_ENGINES",
-    "BATCHED_ENGINES",
 ]
 
 ENGINES = Registry("engine")
@@ -48,11 +45,6 @@ ENGINES = Registry("engine")
 #: Engine names that accept a population schedule (colony-size dynamics).
 #: Extended by ``register_engine(..., population_aware=True)``.
 POPULATION_AWARE_ENGINES: set[str] = {"counting", "counting_batched"}
-
-#: Engine names whose specs carry an explicit lane count for multi-trial
-#: runs (:func:`repro.scenario.runner.resolve_batch` reads the spec's
-#: ``batch`` engine param).
-BATCHED_ENGINES: set[str] = {"counting_batched"}
 
 
 def _require_no_population(engine: str, population: PopulationSchedule | None) -> None:
@@ -126,10 +118,9 @@ def _build_counting_batched(
     batch: int = DEFAULT_BATCH,
     backend: str = "numpy",
 ) -> CountingSimulator:
-    # ``batch`` is an *orchestration* knob: a single build returns one
-    # CountingSimulator lane, and the trial runners read ``batch`` off
-    # the spec to group factory-built lanes into chunks.  ``backend``
-    # survives for the digests of existing specs; numpy is the only one.
+    # ``batch`` and ``backend`` survive for the digests of existing specs:
+    # both are validated, neither changes the build (``run_trials`` picks
+    # the lane count, and numpy is the only backend).
     check_integer("batch", batch, minimum=1)
     if backend != "numpy":
         raise ConfigurationError(
@@ -226,4 +217,3 @@ def unregister_engine(name: str) -> None:
     """Remove a registered engine (e.g. to undo a test-local plugin)."""
     ENGINES.unregister(name)
     POPULATION_AWARE_ENGINES.discard(name)
-    BATCHED_ENGINES.discard(name)

@@ -4,7 +4,7 @@
 :class:`~repro.sim.engine.SimulationResult`; ``run_scenario(spec,
 trials=...)`` routes through :func:`repro.sim.runner.run_trials` and
 returns a :class:`~repro.sim.runner.TrialSummary`.  Counting-engine
-trials run in-process as batches of lanes by default.  The trial factory
+trials run in-process as batches of lanes.  The trial factory
 is :class:`ScenarioFactory` — a picklable wrapper around the spec — so
 ``parallel=P`` instead farms trials to ``P`` worker processes for *any*
 configuration.  Results are bit-identical either way (per-trial seeds
@@ -20,7 +20,7 @@ Sweeps are additionally *resumable*: pass ``store=`` (a
 completed point is committed to disk as an atomic record keyed by a
 content digest of everything that determines its result — the derived
 spec's JSON, the swept parameter and value, horizon, trial count, run
-params, and the point's seed root.  Re-invoking the same sweep skips
+params, and the point's seed root.  Re-invoking the same sweep serves
 committed points and returns aggregates *bit-identical* to an
 uninterrupted run (float64 arrays round-trip exactly); only missing
 points execute.  Point seed roots are themselves digest-derived: a
@@ -45,7 +45,6 @@ import numpy as np
 
 from repro._version import __version__
 from repro.exceptions import ConfigurationError, SweepInterrupted
-from repro.sim.batched import DEFAULT_BATCH
 from repro.sim.engine import SimulationResult
 from repro.sim.runner import SweepResult, TrialSummary, run_trials
 from repro.store import (
@@ -58,7 +57,6 @@ from repro.store import (
 )
 from repro.util.validation import check_integer
 
-from repro.scenario.engines import BATCHED_ENGINES
 from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
@@ -68,7 +66,6 @@ __all__ = [
     "sweep_scenario",
     "sweep_point_digest",
     "sweep_point_seed",
-    "resolve_batch",
 ]
 
 #: Digest-key form of the empty coordinate (a bare-spec service request):
@@ -92,25 +89,6 @@ class ScenarioFactory:
         return self.spec.build(seed=seed)
 
 
-def resolve_batch(spec: ScenarioSpec, batch: int | None = None, parallel: int = 0) -> int | None:
-    """The ``run_trials(batch=...)`` argument for a spec's multi-trial runs.
-
-    An explicit ``batch`` wins outright (``run_trials`` rejects a
-    positive one combined with processes).  Otherwise a
-    ``counting_batched`` spec supplies its ``batch`` param — unless the
-    caller asked for process parallelism, which takes precedence as the
-    explicitly requested axis — and every other spec gets ``None``, the
-    runner's default (counting trials batched ``min(trials, 16)`` at a
-    time).  Sweeps, grid workers and the service all resolve through
-    here, so one spec runs the same chunks on every path.
-    """
-    if batch is not None:
-        return check_integer("batch", batch, minimum=0)
-    if spec.engine.name in BATCHED_ENGINES and parallel == 0:
-        return int(spec.engine.params.get("batch", DEFAULT_BATCH))
-    return None
-
-
 def _closeness_inputs(spec: ScenarioSpec) -> tuple[float | None, float | None]:
     """``(gamma_star, total_demand)`` for trial summaries, when available."""
     if spec.gamma_star is None:
@@ -124,7 +102,6 @@ def run_scenario(
     rounds: int | None = None,
     trials: int = 1,
     parallel: int = 0,
-    batch: int | None = None,
     seed: int | None = None,
     label: str | None = None,
     keep_results: bool = True,
@@ -147,13 +124,6 @@ def run_scenario(
         Worker processes for multi-trial runs, one trial per worker at a
         time (0 = in-process).  The statistics are bit-identical to the
         in-process path.
-    batch:
-        Lanes per :class:`~repro.sim.batched.BatchedCountingSimulator`
-        chunk for multi-trial runs (bit-identical at every value).
-        ``None`` (default) defers to the spec: a ``counting_batched``
-        engine supplies its ``batch`` param, and any other counting
-        spec batches ``min(trials, 16)`` trials at a time (see
-        :func:`resolve_batch`).  ``0`` runs one trial at a time.
     seed:
         Root seed override; defaults to ``spec.seed``.
     label:
@@ -187,12 +157,9 @@ def run_scenario(
         gamma_star=gamma_star,
         total_demand=total_demand,
         processes=parallel,
-        batch=resolve_batch(spec, batch, parallel),
         keep_results=keep_results,
         **run_kwargs,
     )
-
-
 
 
 def _coordinate_key(parameter: str | Sequence[str], value: Any) -> tuple[Any, Any]:
@@ -355,23 +322,14 @@ class PointJob:
         """The coordinate as ``{path: value}`` (a summary's ``params``)."""
         return dict(self.coordinate)
 
-    def compute(
-        self,
-        *,
-        parallel: int = 0,
-        batch: int | None = None,
-        keep_results: bool = False,
-    ) -> TrialSummary:
+    def compute(self, *, parallel: int = 0) -> TrialSummary:
         """Run the point's trials — the one point-level ``run_trials`` call.
 
         Closeness is measured against the *base* spec's ``gamma_star``
         and total demand (sweeping the demand itself therefore reports
-        closeness against the base demand).  The lane count, too, comes
-        from the base spec through :func:`resolve_batch`: engine params
-        are performance knobs (results are bit-identical at any batch),
-        so even a sweep over an engine param runs every point in the
-        same chunks.  ``parallel``, ``batch`` and ``keep_results`` are
-        as in :func:`run_scenario`.
+        closeness against the base demand).  The summary keeps no
+        per-trial results: a record persists summaries only.
+        ``parallel`` is as in :func:`run_scenario`.
         """
         gamma_star, total_demand = _closeness_inputs(self.base)
         return run_trials(
@@ -383,8 +341,7 @@ class PointJob:
             gamma_star=gamma_star,
             total_demand=total_demand,
             processes=parallel,
-            batch=resolve_batch(self.base, batch, parallel),
-            keep_results=keep_results,
+            keep_results=False,
             params=self.params,
             **self.run_params,
         )
@@ -447,10 +404,7 @@ def sweep_scenario(
     rounds: int | None = None,
     trials: int = 5,
     parallel: int = 0,
-    batch: int | None = None,
-    keep_results: bool = False,
     store: "ResultStore | str | None" = None,
-    resume: bool = True,
     max_new_points: int | None = None,
     **run_overrides: Any,
 ) -> SweepResult:
@@ -463,20 +417,14 @@ def sweep_scenario(
 
     Store-backed sweeps (``store=`` a :class:`~repro.store.ResultStore`
     or directory path) persist every completed point as an atomic record
-    keyed by :func:`sweep_point_digest`.  With ``resume=True`` (default)
-    committed points are served from disk — bit-identical to a fresh
-    run — and only missing points execute; ``resume=False`` recomputes
-    (and overwrites) every record.  ``SweepResult.resumed`` reports, per
-    point, which path it took.  ``max_new_points`` bounds how many
-    points may be *computed* before the sweep raises
-    :class:`~repro.exceptions.SweepInterrupted` (the deterministic
-    stand-in for a killed process in the resume tests and CI smoke).
-    A sweep takes no leases: it reads and commits points directly.
-
-    ``batch`` behaves as in :func:`run_scenario`: ``None`` (default)
-    batches each point's counting trials (a ``counting_batched`` spec
-    sets the lane count), and ``0`` runs one trial at a time.  Either
-    way the sweep statistics are bit-identical.
+    keyed by :func:`sweep_point_digest`.  Committed points are served
+    from disk — bit-identical to a fresh run — and only missing points
+    execute; ``SweepResult.resumed`` reports, per point, which path it
+    took.  ``max_new_points`` bounds how many points may be *computed*
+    before the sweep raises :class:`~repro.exceptions.SweepInterrupted`
+    (the deterministic stand-in for a killed process in the resume tests
+    and CI smoke).  A sweep takes no leases: it reads and commits points
+    directly.  Summaries keep no per-trial results.
 
     Only component params (``"component.param"`` paths) are sweepable:
     the trial runner controls the horizon and seed derivation itself,
@@ -499,15 +447,7 @@ def sweep_scenario(
 
     if store is not None:
         store = ResultStore.coerce(store)
-        if keep_results:
-            raise ConfigurationError(
-                "store-backed sweeps persist summary records only, so resumed "
-                "points can never return full SimulationResults — pass "
-                "keep_results=False (or drop the store)"
-            )
 
-    # Resolved up front so a bad batch fails even when every point resumes.
-    batch = resolve_batch(spec, batch, parallel)
     run_params = {**spec.run_params, **run_overrides}
     jobs = [PointJob(spec, ((parameter, value),), rounds, trials, run_params) for value in values]
 
@@ -515,7 +455,7 @@ def sweep_scenario(
     resumed: list[bool] = []
     new_points = 0
     for job in jobs:
-        if store is not None and resume:
+        if store is not None:
             summary = job.read(store)
             if summary is not None:
                 summaries.append(summary)
@@ -526,9 +466,9 @@ def sweep_scenario(
                 f"sweep over {parameter!r} stopped after computing "
                 f"{new_points} new point(s) (max_new_points={max_new_points}); "
                 f"{len(summaries)} of {len(values)} points are committed — "
-                "re-run with resume=True to continue"
+                "re-run the sweep to continue"
             )
-        summary = job.compute(parallel=parallel, batch=batch, keep_results=keep_results)
+        summary = job.compute(parallel=parallel)
         new_points += 1
         if store is not None:
             store.write_record(job.digest, *job.point_record(summary))

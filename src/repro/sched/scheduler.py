@@ -42,7 +42,7 @@ from repro.store.records import atomic_write_bytes
 
 from repro.sched.grid import GridSpec
 from repro.sched.leases import DEFAULT_LEASE_TTL, LeaseManager
-from repro.sched.worker import WorkerStats, run_worker
+from repro.sched.worker import run_worker
 
 __all__ = [
     "GRID_MANIFEST",

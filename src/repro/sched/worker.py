@@ -40,6 +40,7 @@ from repro.obs import get_registry
 from repro.obs import monotonic as obs_monotonic
 from repro.obs import span as obs_span
 from repro.store import ResultStore
+from repro.util.validation import check_integer
 
 from repro.sched.grid import GridSpec
 from repro.sched.leases import DEFAULT_LEASE_TTL, LeaseManager
@@ -74,9 +75,11 @@ def run_worker(
 
     Returns once every point of ``grid`` has a committed record in
     ``store`` (some computed here, some by other workers), or after
-    committing ``max_points`` new points.  The lease heartbeat fires
-    every ``ttl / 4`` seconds.
+    committing ``max_points`` new points (``0`` computes none).  The
+    lease heartbeat fires every ``ttl / 4`` seconds.
     """
+    if max_points is not None:
+        max_points = check_integer("max_points", max_points, minimum=0)
     store = ResultStore.coerce(store)
     grid_dir = store.sched_dir / grid.grid_digest()
     manager = LeaseManager(grid_dir, ttl=ttl, worker_id=worker_id)
@@ -96,6 +99,8 @@ def run_worker(
         for job in outstanding:
             if store.has_record(job.digest):
                 continue
+            if max_points is not None and stats.computed >= max_points:
+                return stats
             lease = manager.try_claim(job.digest)
             if lease is None:
                 stats.lease_denied += 1
@@ -129,8 +134,6 @@ def run_worker(
                 progressed = True
             finally:
                 lease.release()
-            if max_points is not None and stats.computed >= max_points:
-                return stats
         outstanding = denied
         if outstanding and not progressed:
             # Everything pending is leased by live workers — wait for

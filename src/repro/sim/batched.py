@@ -9,7 +9,7 @@ lookup, one feedback evaluation, one regret/metrics update per round for
 the whole batch instead of one per trial.  At small and medium ``k`` a
 trial's cost is dominated by exactly this Python-level per-round
 overhead (a single kernel call costs microseconds), so
-:func:`repro.sim.runner.run_trials` batches counting trials by default,
+:func:`repro.sim.runner.run_trials` batches counting trials in-process,
 and a single :meth:`CountingSimulator.run
 <repro.sim.counting.CountingSimulator.run>` is a one-lane batch.
 
@@ -45,6 +45,8 @@ phase, after the decision round.
 
 from __future__ import annotations
 
+import pickle
+
 from collections.abc import Sequence
 
 import numpy as np
@@ -68,9 +70,10 @@ from repro.util.validation import check_integer
 
 __all__ = ["BatchedCountingSimulator", "BatchedRegretTracker", "DEFAULT_BATCH"]
 
-#: Lanes per chunk when ``run_trials`` batches counting trials by default
-#: (``min(trials, DEFAULT_BATCH)``), and the ``counting_batched`` spec
-#: engine's default ``batch``.  Any B >= 1 is valid and bit-identical.
+#: Lanes per chunk when ``run_trials`` batches counting trials in-process
+#: (``min(trials, DEFAULT_BATCH)``), and the inert default of the
+#: ``counting_batched`` spec engine's ``batch``.  Any B >= 1 is valid and
+#: bit-identical.
 DEFAULT_BATCH = 16
 
 
@@ -240,8 +243,21 @@ class BatchedRegretTracker:
         ]
 
 
+def _component_value(component: object) -> bytes | str:
+    """A lane component compared by value: its pickled bytes, or its type
+    name when it cannot be pickled (a plugin holding a lambda, say)."""
+    try:
+        return pickle.dumps(component)
+    except Exception:
+        return type(component).__name__
+
+
 def _lane_signature(sim: CountingSimulator) -> tuple:
-    """The configuration facets the batched loop relies on being equal."""
+    """The configuration facets the batched loop relies on being equal.
+
+    The loop evaluates lane 0's demand schedule, feedback and population
+    for every lane, so those three are compared by value.
+    """
     alg = sim.algorithm
     return (
         type(alg).__name__,
@@ -254,9 +270,9 @@ def _lane_signature(sim: CountingSimulator) -> tuple:
         sim.k,
         sim.join_strategy,
         sim.pi_cache_enabled,
-        type(sim.feedback).__name__,
-        type(sim.schedule).__name__,
-        type(sim.population).__name__,
+        _component_value(sim.feedback),
+        _component_value(sim.schedule),
+        _component_value(sim.population),
         sim.initial_loads.tobytes(),
     )
 

@@ -3,8 +3,8 @@
 The theorems hold "w.h.p." / in expectation, so every experiment runs
 multiple independent trials and reports mean +/- spread.  Trials get
 independent child seeds from one root ``SeedSequence`` (reproducible and
-order-independent).  Counting-engine trials run as batches of lanes by
-default (:mod:`repro.sim.batched`), bit-identical to running each trial
+order-independent).  In-process, counting-engine trials run as batches
+of lanes (:mod:`repro.sim.batched`), bit-identical to running each trial
 alone; any factory's trials can instead be farmed out to worker
 processes (factories must then be picklable — module-level functions or
 partials).
@@ -111,29 +111,22 @@ def _probe_picklable(factory: SimulatorFactory, processes: int) -> None:
 
 
 def _run_in_process(
-    factory: SimulatorFactory,
-    trial_seeds: list[int],
-    rounds: int,
-    run_kwargs: dict,
-    batch: int | None,
+    factory: SimulatorFactory, trial_seeds: list[int], rounds: int, run_kwargs: dict
 ) -> list[SimulationResult]:
-    """Run trials in this process, ``batch`` counting lanes at a time.
+    """Run trials in this process: the one place that picks lane counts.
 
-    ``batch=None`` is the default path: counting factories run in chunks
-    of ``min(trials, DEFAULT_BATCH)`` lanes, any other engine one trial
-    at a time (as ``batch=0`` runs every engine).  Chunking preserves
+    Counting factories run in chunks of ``min(trials, DEFAULT_BATCH)``
+    lanes, any other engine one trial at a time.  Chunking preserves
     trial order, and each trial's result is bit-identical to running it
     alone because every lane keeps its own seed-derived generator (see
-    :mod:`repro.sim.batched`).
+    :mod:`repro.sim.batched`), so the chunk size never reaches a result.
     """
     sims = (factory(s) for s in trial_seeds)
     first = next(sims)
     sims = itertools.chain([first], sims)
-    if batch is None:
-        counting = isinstance(first, CountingSimulator)
-        batch = min(len(trial_seeds), DEFAULT_BATCH) if counting else 0
-    if batch == 0:
+    if not isinstance(first, CountingSimulator):
         return [sim.run(rounds, **run_kwargs) for sim in sims]
+    batch = min(len(trial_seeds), DEFAULT_BATCH)
     results: list[SimulationResult] = []
     for _ in range(0, len(trial_seeds), batch):
         lanes = list(itertools.islice(sims, batch))
@@ -151,7 +144,6 @@ def run_trials(
     gamma_star: float | None = None,
     total_demand: float | None = None,
     processes: int = 0,
-    batch: int | None = None,
     keep_results: bool = True,
     params: Mapping[str, Any] | None = None,
     **run_kwargs: Any,
@@ -171,15 +163,9 @@ def run_trials(
         When both given, per-trial closeness is computed.
     processes:
         Worker processes, each running one trial at a time (0 = run
-        in-process).
-    batch:
-        Lanes per :class:`~repro.sim.batched.BatchedCountingSimulator`
-        chunk.  ``None`` (default) batches counting-engine trials in
-        chunks of ``min(trials, DEFAULT_BATCH)`` lanes and runs any
-        other engine one trial at a time — or, with ``processes``, one
-        trial per worker.  ``0`` runs one trial at a time; ``> 0`` sets
-        the chunk size (counting-engine factories only) and excludes
-        ``processes``.  Results are bit-identical at every setting.
+        in-process: counting-engine trials as batches of
+        ``min(trials, DEFAULT_BATCH)`` lanes, any other engine one trial
+        at a time).  Results are bit-identical either way.
     keep_results:
         Keep every :class:`SimulationResult` (set False for big sweeps).
     run_kwargs:
@@ -188,15 +174,6 @@ def run_trials(
     """
     trials = check_integer("trials", trials, minimum=1)
     rounds = check_integer("rounds", rounds, minimum=1)
-    if batch is not None:
-        batch = check_integer("batch", batch, minimum=0)
-    if batch and processes > 0:
-        raise ConfigurationError(
-            f"batch={batch} and processes={processes} are mutually exclusive: "
-            "batched lanes already amortize the per-trial overhead in-process, "
-            "and nesting them inside worker processes is not supported — "
-            "pass one or the other"
-        )
     root = np.random.SeedSequence(seed)
     trial_seeds = [int(s.generate_state(1)[0]) for s in root.spawn(trials)]
 
@@ -213,7 +190,7 @@ def run_trials(
                 )
             )
     else:
-        results = _run_in_process(factory, trial_seeds, rounds, dict(run_kwargs), batch)
+        results = _run_in_process(factory, trial_seeds, rounds, dict(run_kwargs))
 
     avg = np.array([r.metrics.average_regret for r in results])
     close = None

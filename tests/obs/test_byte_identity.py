@@ -83,7 +83,7 @@ class TestStoreByteIdentity:
                     sweep_into(tmp_path / "mixed", max_new_points=1)
         finally:
             uninstall_tracer()
-        sweep_into(tmp_path / "mixed", resume=True)
+        sweep_into(tmp_path / "mixed")
         sweep_into(tmp_path / "bare")
         assert store_bytes(tmp_path / "mixed") == store_bytes(tmp_path / "bare")
 

@@ -117,27 +117,22 @@ class TestRunScenario:
 
 
 class TestBatchedEngineThreading:
-    """The ``counting_batched`` spec engine and the ``batch=`` override."""
+    """The ``counting_batched`` spec engine, whose params are inert."""
 
     def _batched_spec(self, **engine_params):
         params = {"batch": 4, **engine_params}
         return counting_spec(engine={"name": "counting_batched", "params": params})
 
     def test_spec_builds_a_plain_counting_simulator(self):
-        # batch/backend are orchestration knobs consumed by the runners;
-        # a single build is just the serial engine.
+        # batch/backend are validated and otherwise inert; a single build
+        # is just the counting engine.
         assert isinstance(self._batched_spec().build(), CountingSimulator)
 
     def test_registered_and_population_aware(self):
-        from repro.scenario.engines import (
-            BATCHED_ENGINES,
-            POPULATION_AWARE_ENGINES,
-            available_engines,
-        )
+        from repro.scenario.engines import POPULATION_AWARE_ENGINES, available_engines
 
         assert "counting_batched" in available_engines()
         assert "counting_batched" in POPULATION_AWARE_ENGINES
-        assert "counting_batched" in BATCHED_ENGINES
 
     def test_run_scenario_bit_identical_to_serial_engine(self):
         batched = run_scenario(self._batched_spec(), trials=6, rounds=120)
@@ -146,19 +141,17 @@ class TestBatchedEngineThreading:
         assert np.array_equal(batched.closenesses, serial.closenesses)
         assert np.array_equal(batched.max_abs_deficits, serial.max_abs_deficits)
 
-    def test_batch_zero_override_forces_the_serial_path(self):
-        a = run_scenario(self._batched_spec(), trials=4, rounds=100, batch=0)
-        b = run_scenario(self._batched_spec(), trials=4, rounds=100)
-        assert np.array_equal(a.average_regrets, b.average_regrets)
-
     def test_explicit_batch_on_a_serial_counting_spec(self):
-        a = run_scenario(counting_spec(), trials=4, rounds=100, batch=2)
-        b = run_scenario(counting_spec(), trials=4, rounds=100)
-        assert np.array_equal(a.average_regrets, b.average_regrets)
+        # The trial runner alone picks lane counts: ``batch=`` is no
+        # longer a run_scenario option and reaches run() as an unknown
+        # keyword, on the single-trial and the multi-trial path alike.
+        for trials in (1, 4):
+            with pytest.raises(TypeError, match="batch"):
+                run_scenario(counting_spec(), trials=trials, rounds=100, batch=0)
 
     def test_parallel_suppresses_the_spec_default_batch(self):
-        # parallel workers and batched lanes are mutually exclusive; the
-        # spec's default batch must yield rather than raise.
+        # parallel workers run one trial each; the spec's inert batch
+        # param must not get in their way.
         summary = run_scenario(self._batched_spec(), trials=2, rounds=60, parallel=2)
         assert summary.trials == 2
 
@@ -172,11 +165,14 @@ class TestBatchedEngineThreading:
         with pytest.raises(ConfigurationError, match="unknown array backend"):
             self._batched_spec(backend="jax").build()
 
-    def test_sweep_scenario_batched_matches_forced_serial(self):
+    def test_sweep_scenario_batched_matches_forced_serial(self, monkeypatch):
+        import repro.sim.runner as runner_mod
+
         spec = self._batched_spec()
         kwargs = dict(trials=2, rounds=80)
         a = sweep_scenario(spec, "algorithm.gamma", [0.02, 0.04], **kwargs)
-        b = sweep_scenario(spec, "algorithm.gamma", [0.02, 0.04], batch=0, **kwargs)
+        monkeypatch.setattr(runner_mod, "DEFAULT_BATCH", 1)  # one lane per chunk
+        b = sweep_scenario(spec, "algorithm.gamma", [0.02, 0.04], **kwargs)
         np.testing.assert_array_equal(a.series(), b.series())
 
 
@@ -224,17 +220,13 @@ class TestScenarioCli:
 
     def test_run_with_batch_flag(self, spec_file, capsys):
         from repro.experiments.cli import main
-        from repro.obs import FakeClock, use_clock
 
-        # The output ends with "(scenario took {dt:.1f}s)": a fake clock
-        # pins dt, so the whole output, timing line included, compares.
+        # The flag is gone: the trial runner alone picks lane counts.
         args = ["scenario", "run", spec_file, "--rounds", "50", "--trials", "4"]
-        with use_clock(FakeClock()):
-            assert main([*args, "--batch", "2"]) == 0
-        batched = capsys.readouterr().out
-        with use_clock(FakeClock()):
-            assert main(args) == 0
-        assert batched == capsys.readouterr().out  # same numbers either way
+        with pytest.raises(SystemExit) as excinfo:
+            main([*args, "--batch", "2"])
+        assert excinfo.value.code == 2
+        assert "--batch" in capsys.readouterr().err
 
     def test_show_round_trips(self, spec_file, capsys):
         from repro.experiments.cli import main
@@ -303,7 +295,7 @@ class TestSweepCli:
         assert code == SWEEP_INTERRUPTED_EXIT
         assert "interrupted" in capsys.readouterr().out
         out_a = tmp_path / "a.json"
-        assert self._sweep(spec_file, tmp_path, "--resume", "--out", str(out_a)) == 0
+        assert self._sweep(spec_file, tmp_path, "--out", str(out_a)) == 0
         assert "[cached]" in capsys.readouterr().out
         # An uninterrupted sweep into a different store: same bytes out.
         from repro.experiments.cli import main
@@ -330,6 +322,21 @@ class TestSweepCli:
             == 0
         )
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_resume_flag_is_gone(self, spec_file, tmp_path, capsys):
+        # Store-backed sweeps always serve committed points.
+        with pytest.raises(SystemExit) as excinfo:
+            self._sweep(spec_file, tmp_path, "--resume")
+        assert excinfo.value.code == 2
+        assert "--resume" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
+
+    def test_rerun_serves_committed_points(self, spec_file, tmp_path, capsys):
+        assert self._sweep(spec_file, tmp_path) == 0
+        assert "[ran]" in capsys.readouterr().out
+        assert self._sweep(spec_file, tmp_path) == 0
+        out = capsys.readouterr().out
+        assert out.count("[cached]") == 2 and "[ran]" not in out
 
     def test_values_parse_json_per_item(self):
         from repro.experiments.cli import _parse_values
@@ -374,9 +381,11 @@ class TestProcessJoinCache:
         from tests.sim.test_pi_cache import KernelCallCounter
 
         import repro.sim.counting as counting_mod
+        import repro.sim.runner as runner_mod
 
         counter = KernelCallCounter(monkeypatch)
-        summary = run_scenario(self._binary_spec(), trials=3, batch=0)
+        monkeypatch.setattr(runner_mod, "DEFAULT_BATCH", 1)  # one trial at a time
+        summary = run_scenario(self._binary_spec(), trials=3)
         assert summary.trials == 3
         # Three trials run one at a time, yet across all of them the
         # kernel ran once per distinct signature, each result stored.

@@ -145,20 +145,6 @@ class TestResumeBitIdentity:
             assert a.closenesses is not None
             assert np.array_equal(a.closenesses, b.closenesses)
 
-    def test_resume_false_recomputes_and_overwrites(self, tmp_path, monkeypatch):
-        sweep_scenario(binary_spec(), "algorithm.gamma", VALUES[:2], trials=2, store=tmp_path)
-        counter = RunTrialsCounter(monkeypatch)
-        out = sweep_scenario(
-            binary_spec(),
-            "algorithm.gamma",
-            VALUES[:2],
-            trials=2,
-            store=tmp_path,
-            resume=False,
-        )
-        assert counter.calls == 2
-        assert out.resumed == [False, False]
-
 
 class TestDigestKeying:
     def test_inserting_a_value_reuses_existing_points(self, tmp_path, monkeypatch):
@@ -260,17 +246,31 @@ class TestSeedModes:
         assert np.array_equal(outer[0.04], full[0.04])
 
 
+def assert_rejected_and_uncommitted(store_root, **removed) -> None:
+    """A removed sweep keyword fails loudly and commits no record."""
+    (name,) = removed
+    with pytest.raises(TypeError, match=name):
+        sweep_scenario(
+            binary_spec(), "algorithm.gamma", [0.02], trials=2, store=store_root, **removed
+        )
+    assert list(ResultStore(store_root).iter_records()) == []
+
+
 class TestGuards:
     def test_store_rejects_keep_results(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="keep_results"):
-            sweep_scenario(
-                binary_spec(),
-                "algorithm.gamma",
-                [0.02],
-                trials=2,
-                store=tmp_path,
-                keep_results=True,
-            )
+        # Sweep summaries keep no per-trial results; stored ones never could.
+        assert_rejected_and_uncommitted(tmp_path, keep_results=True)
+        assert_rejected_and_uncommitted(tmp_path, keep_results=False)
+
+    def test_store_rejects_resume(self, tmp_path):
+        # Store-backed sweeps always serve committed points.
+        assert_rejected_and_uncommitted(tmp_path, resume=True)
+        assert_rejected_and_uncommitted(tmp_path, resume=False)
+
+    def test_store_rejects_batch(self, tmp_path):
+        # The trial runner alone picks lane counts.
+        assert_rejected_and_uncommitted(tmp_path, batch=0)
+        assert_rejected_and_uncommitted(tmp_path, batch=3)
 
     def test_empty_values_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one value"):

@@ -20,7 +20,7 @@ import pytest
 
 import repro.sched.scheduler as scheduler_mod
 import repro.sched.worker as worker_mod
-from repro.exceptions import SchedulerError
+from repro.exceptions import ConfigurationError, SchedulerError
 from repro.scenario import ScenarioSpec, sweep_scenario
 from repro.sched import (
     GridSpec,
@@ -34,7 +34,7 @@ from repro.sched import (
     run_worker,
 )
 from repro.sched.scheduler import GRID_MANIFEST
-from repro.store import ResultStore
+from repro.store import LEASE_SUFFIX, ResultStore
 
 
 def tiny_spec(**overrides) -> ScenarioSpec:
@@ -135,6 +135,17 @@ class TestCrashRecovery:
         store_b = ResultStore(tmp_path / "b")
         run_worker(store_b, grid)
         assert tree_hashes(store_a) == tree_hashes(store_b)
+
+    def test_max_points_zero_commits_nothing(self, tmp_path):
+        grid = single_axis_grid([0.02, 0.03, 0.04], trials=1)
+        store = ResultStore(tmp_path)
+        stats = run_worker(store, grid, max_points=0)
+        assert stats.computed == 0
+        assert list(store.iter_records()) == []
+        assert not any(store.sched_dir.rglob(f"*{LEASE_SUFFIX}"))
+        with pytest.raises(ConfigurationError, match="max_points"):
+            run_worker(store, grid, max_points=-5)
+        assert list(store.iter_records()) == []
 
     def test_dead_workers_stale_lease_is_reclaimed(self, tmp_path):
         # A SIGKILL'd worker, simulated deterministically: its lease file

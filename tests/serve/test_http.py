@@ -19,7 +19,7 @@ from repro.serve import BackgroundServer, ScenarioService, record_body
 from repro.store import ResultStore
 
 from tests.serve.test_request import tiny_spec
-from tests.serve.test_service import RunTrialsSpy, request_for
+from tests.serve.test_service import RunTrialsSpy
 
 POLL = 0.01
 

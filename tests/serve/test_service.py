@@ -17,7 +17,7 @@ import pytest
 
 import repro.scenario.runner as scenario_runner_mod
 from repro.exceptions import ServiceBusy
-from repro.scenario import ScenarioSpec, sweep_scenario
+from repro.scenario import sweep_scenario
 from repro.sched.leases import LeaseManager
 from repro.serve import ScenarioRequest, ScenarioService
 from repro.serve.service import SERVE_LEASE_DIR

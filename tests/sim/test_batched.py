@@ -24,7 +24,7 @@ from repro.core.ant import AntAlgorithm
 from repro.core.precise_sigmoid import PreciseSigmoidAlgorithm
 from repro.core.trivial import TrivialAlgorithm
 from repro.env.critical import lambda_for_critical_value
-from repro.env.demands import uniform_demands
+from repro.env.demands import proportional_demands, uniform_demands
 from repro.env.feedback import ExactBinaryFeedback, SigmoidFeedback
 from repro.env.population import StepPopulation
 from repro.exceptions import ConfigurationError
@@ -241,6 +241,48 @@ class TestValidation:
         ]
         with pytest.raises(ConfigurationError, match="share one configuration"):
             BatchedCountingSimulator(lanes)
+
+    def test_rejects_lanes_with_other_demands_and_noise(self):
+        # The loop evaluates lane 0's demands and feedback for every
+        # lane: lane 1 would silently run on them instead of its own.
+        lanes = [
+            CountingSimulator(
+                AntAlgorithm(gamma=0.05), uniform_demands(n=800, k=4), SigmoidFeedback(0.5), seed=1
+            ),
+            CountingSimulator(
+                AntAlgorithm(gamma=0.05),
+                proportional_demands(800, [4, 3, 2, 1]),
+                SigmoidFeedback(2.0),
+                seed=2,
+            ),
+        ]
+        with pytest.raises(ConfigurationError, match="share one configuration"):
+            BatchedCountingSimulator(lanes)
+
+    @pytest.mark.parametrize("component", ["demand", "feedback", "population"])
+    def test_rejects_lanes_differing_in_one_component(self, component):
+        def lane(seed: int, other: bool) -> CountingSimulator:
+            demand, fb = _components()
+            if other and component == "demand":
+                demand = proportional_demands(N, [2, 1] * (K // 2))
+            if other and component == "feedback":
+                fb = SigmoidFeedback(2.0)
+            population = None
+            if component == "population":
+                population = StepPopulation(steps=((0, N), (21, N // 2 if other else N - 1)))
+            return CountingSimulator(
+                AntAlgorithm(gamma=0.05), demand, fb, seed=seed, population=population
+            )
+
+        BatchedCountingSimulator([lane(0, False), lane(1, False)])
+        with pytest.raises(ConfigurationError, match="share one configuration"):
+            BatchedCountingSimulator([lane(0, False), lane(1, True)])
+
+    def test_unpicklable_components_compare_by_type(self):
+        demand, fb = _components()
+        fb.hook = lambda: None  # pickling fails; the type name stands in
+        lanes = [CountingSimulator(AntAlgorithm(gamma=0.05), demand, fb, seed=s) for s in (0, 1)]
+        assert len(BatchedCountingSimulator(lanes).run(20)) == 2
 
     def test_rejects_unknown_backend(self):
         # numpy is the only array backend; the spec engine that still

@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.sim.runner as runner_mod
 from repro.core.ant import AntAlgorithm
 from repro.env.critical import lambda_for_critical_value
 from repro.env.demands import uniform_demands
 from repro.env.feedback import SigmoidFeedback
 from repro.exceptions import ConfigurationError
+from repro.sim.batched import BatchedCountingSimulator
 from repro.sim.counting import CountingSimulator
 from repro.sim.engine import Simulator
 from repro.sim.runner import SweepResult, run_trials
@@ -84,61 +86,82 @@ class TestRunTrials:
             run_trials(_factory, rounds=10, trials=0)
 
 
-class TestBatchedDispatch:
-    """``run_trials(batch=...)`` chunks trials through the batched engine."""
+def _trial_seeds(seed: int, trials: int) -> list[int]:
+    """Trial seeds exactly as ``run_trials(seed=seed)`` derives them."""
+    root = np.random.SeedSequence(seed)
+    return [int(s.generate_state(1)[0]) for s in root.spawn(trials)]
 
-    def test_batch_bit_identical_to_serial_with_partial_chunk(self):
-        # 7 trials at batch=3 exercises full chunks AND the trailing
-        # partial one; every trial must match the serial path exactly.
-        kwargs = dict(rounds=80, trials=7, seed=3)
-        batched = run_trials(_counting_factory, batch=3, **kwargs)
-        serial = run_trials(_counting_factory, batch=0, **kwargs)
-        np.testing.assert_array_equal(batched.average_regrets, serial.average_regrets)
-        for rb, rs in zip(batched.results, serial.results):
-            assert rb.metrics.cumulative_regret == rs.metrics.cumulative_regret
-            np.testing.assert_array_equal(rb.metrics.final_loads, rs.metrics.final_loads)
 
-    def test_batch_larger_than_trials_is_fine(self):
-        s = run_trials(_counting_factory, rounds=50, trials=2, seed=0, batch=16)
-        assert s.trials == 2 and len(s.results) == 2
+def _one_lane_runs(factory, rounds: int, trials: int, seed: int):
+    """Every trial run alone, a one-lane batch each."""
+    return [factory(s).run(rounds) for s in _trial_seeds(seed, trials)]
 
-    def test_batch_rejects_non_counting_factory(self):
-        # The plain Simulator has no batched lane protocol; the engine's
-        # own validation surfaces with a clear type message.
-        with pytest.raises(ConfigurationError, match="CountingSimulator"):
-            run_trials(_factory, rounds=10, trials=2, seed=0, batch=2)
 
-    def test_batch_and_processes_are_mutually_exclusive(self):
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
-            run_trials(
-                _counting_factory, rounds=10, trials=2, seed=0, batch=2, processes=2
-            )
+class LaneSpy:
+    """Records the lane count of every chunk ``run_trials`` builds."""
 
-    def test_batch_must_be_nonnegative(self):
-        with pytest.raises(ConfigurationError, match="batch"):
-            run_trials(_counting_factory, rounds=10, trials=2, seed=0, batch=-1)
-
-    def test_default_batches_counting_trials_sixteen_at_a_time(self, monkeypatch):
-        import repro.sim.runner as runner_mod
-        from repro.sim.batched import BatchedCountingSimulator
-
-        chunks: list[int] = []
+    def __init__(self, monkeypatch) -> None:
+        self.chunks: list[int] = []
+        spy = self
 
         class Recording(BatchedCountingSimulator):
-            def __init__(self, simulators):
+            def __init__(self, simulators) -> None:
                 super().__init__(simulators)
-                chunks.append(self.batch)
+                spy.chunks.append(self.batch)
 
         monkeypatch.setattr(runner_mod, "BatchedCountingSimulator", Recording)
+
+
+class TestBatchedDispatch:
+    """``run_trials`` chunks counting trials through the batched engine."""
+
+    def test_batch_bit_identical_to_serial_with_partial_chunk(self, monkeypatch):
+        # 7 trials in chunks of 3 exercise full chunks AND the trailing
+        # partial one; every trial must match its one-lane run exactly.
+        monkeypatch.setattr(runner_mod, "DEFAULT_BATCH", 3)
+        spy = LaneSpy(monkeypatch)
+        batched = run_trials(_counting_factory, rounds=80, trials=7, seed=3)
+        assert spy.chunks == [3, 3, 1]
+        alone = _one_lane_runs(_counting_factory, 80, 7, 3)
+        assert len(batched.results) == len(alone) == 7
+        for rb, rs in zip(batched.results, alone):
+            assert rb.metrics.cumulative_regret == rs.metrics.cumulative_regret
+            assert rb.metrics.average_regret == rs.metrics.average_regret
+            np.testing.assert_array_equal(rb.metrics.final_loads, rs.metrics.final_loads)
+
+    def test_batch_larger_than_trials_is_fine(self, monkeypatch):
+        spy = LaneSpy(monkeypatch)
+        s = run_trials(_counting_factory, rounds=50, trials=2, seed=0)
+        assert spy.chunks == [2]
+        assert s.trials == 2 and len(s.results) == 2
+
+    def test_batch_rejects_non_counting_factory(self, monkeypatch):
+        # The plain Simulator has no batched lane protocol: the runner
+        # runs its trials one at a time and never builds a batch of them.
+        spy = LaneSpy(monkeypatch)
+        s = run_trials(_factory, rounds=30, trials=3, seed=0)
+        assert spy.chunks == []
+        alone = [r.metrics.average_regret for r in _one_lane_runs(_factory, 30, 3, 0)]
+        np.testing.assert_array_equal(s.average_regrets, alone)
+        with pytest.raises(ConfigurationError, match="CountingSimulator"):
+            BatchedCountingSimulator([_factory(0), _factory(1)])
+
+    def test_batch_keyword_is_gone(self):
+        # The runner alone picks lane counts; a stray ``batch=`` reaches
+        # the engine's run() as an unknown keyword and fails loudly.
+        for factory in (_counting_factory, _factory):
+            with pytest.raises(TypeError, match="batch"):
+                run_trials(factory, rounds=10, trials=2, seed=0, batch=2)
+
+    def test_default_batches_counting_trials_sixteen_at_a_time(self, monkeypatch):
+        spy = LaneSpy(monkeypatch)
         default = run_trials(_counting_factory, rounds=40, trials=20, seed=5)
-        assert chunks == [16, 4]
-        one_at_a_time = run_trials(_counting_factory, rounds=40, trials=20, seed=5, batch=0)
-        assert chunks == [16, 4]
-        np.testing.assert_array_equal(default.average_regrets, one_at_a_time.average_regrets)
+        assert spy.chunks == [16, 4]
+        alone = [r.metrics.average_regret for r in _one_lane_runs(_counting_factory, 40, 20, 5)]
+        np.testing.assert_array_equal(default.average_regrets, alone)
 
     def test_default_batch_yields_to_processes(self):
-        # parallel workers run one trial each; the default must not
-        # collide with them the way an explicit batch does.
+        # parallel workers run one trial each, never a batch of them.
         parallel = run_trials(_counting_factory, rounds=40, trials=3, seed=2, processes=2)
         batched = run_trials(_counting_factory, rounds=40, trials=3, seed=2)
         np.testing.assert_array_equal(parallel.average_regrets, batched.average_regrets)
