@@ -409,7 +409,7 @@ class FloatEqualityRule(Rule):
 
     Exact float comparison against a computed value encodes an
     assumption that two code paths round identically — the class of bug
-    the kernel-equivalence suites exist to catch statistically.  The
+    the kernel-equivalence suites compare with explicit tolerances.  The
     only sanctioned exact compare is the ``== 0.0`` sentinel (zero is
     preserved exactly by IEEE arithmetic entry points in this codebase);
     everything else should use ``np.isclose``/``math.isclose`` with an

@@ -9,7 +9,10 @@ params.  Four engines ship with the library:
   synchronous engine (any algorithm / feedback);
 * ``counting`` — :class:`~repro.sim.counting.CountingSimulator`, the
   O(k)-per-round load-level engine (Ant / trivial / precise sigmoid
-  under i.i.d. noise; the only engine supporting dynamic populations);
+  under i.i.d. noise; the only engine supporting dynamic populations).
+  Its ``join_strategy`` param is validated and otherwise inert: only
+  ``"exact"`` (one multinomial over the join kernel) is accepted, so
+  specs that name it keep their digests;
 * ``counting_batched`` — the ``counting`` engine under an older name,
   kept so existing specs keep their digests.  Its ``batch`` and
   ``backend`` params are validated and otherwise inert: the trial
@@ -91,6 +94,12 @@ def _build_counting(
     # the process's join-distribution store make counting scenarios with
     # k in the thousands declarable and runnable (the old subset
     # enumerator's k <= 14 cliff survives only as a test oracle).
+    # ``join_strategy`` survives for the digests of existing specs.
+    if join_strategy != "exact":
+        raise ConfigurationError(
+            f"unknown join_strategy {join_strategy!r}; the counting engine draws "
+            "joins 'exact' only"
+        )
     if initial_loads is not None:
         initial_loads = np.asarray(initial_loads, dtype=np.int64)
     return CountingSimulator(
@@ -100,7 +109,6 @@ def _build_counting(
         initial_loads=initial_loads,
         seed=seed,
         population=population,
-        join_strategy=join_strategy,
         pi_cache=pi_cache,
     )
 
@@ -161,20 +169,11 @@ def _build_sequential(
 # params may carry) — the components and seed are injected at build time.
 # Kept honest by the RPR006 registry-consistency lint check.
 ENGINES.register("agent", _build_agent, example={"initial_assignment": "all_idle"})
-ENGINES.register(
-    "counting",
-    _build_counting,
-    example={"join_strategy": "exact", "pi_cache": True},
-)
+ENGINES.register("counting", _build_counting, example={"pi_cache": True})
 ENGINES.register(
     "counting_batched",
     _build_counting_batched,
-    example={
-        "join_strategy": "exact",
-        "pi_cache": True,
-        "batch": 16,
-        "backend": "numpy",
-    },
+    example={"pi_cache": True, "batch": 16, "backend": "numpy"},
 )
 ENGINES.register("sequential", _build_sequential, example={"initial_assignment": "all_idle"})
 

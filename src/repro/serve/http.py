@@ -22,6 +22,12 @@ routes and the payloads are canonical JSON:
 ``GET /status``
     Queue depth, hit/miss/coalesced/computed counters, worker liveness.
 
+Malformed framing is answered, never dropped: a negative or non-numeric
+``Content-Length`` with ``400``, a body over :data:`MAX_BODY_BYTES`
+with ``413``, and a line over the stream reader's limit or more than
+:data:`MAX_HEADERS` header lines with ``431``, each with a JSON
+``error`` body and ``Connection: close``.
+
 Every response body is **canonical JSON** (sorted keys, compact
 separators, trailing newline) rendered by one function per shape — in
 particular :func:`record_body` serves both the POST cache hit and the
@@ -51,6 +57,9 @@ __all__ = ["BackgroundServer", "record_body", "run_server"]
 #: Request-body cap: a ScenarioSpec is a few KB; anything near this is
 #: a client bug or abuse, answered ``413``.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Header lines per request, the cap ``http.client`` applies; more are
+#: answered ``431``, as is any line longer than the stream reader's limit.
+MAX_HEADERS = 100
 
 _STATUS_TEXT = {
     200: "OK",
@@ -59,6 +68,7 @@ _STATUS_TEXT = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -214,11 +224,18 @@ def _render(status: int, body: bytes, *, keep_alive: bool, content_type: str = J
     return head.encode("ascii") + body
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # the line overran the reader's limit
+        raise _HttpError(431, "request line or header line too long") from exc
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, dict[str, str], bytes] | None:
     """Parse one request; ``None`` on clean EOF between requests."""
-    request_line = await reader.readline()
+    request_line = await _read_line(reader)
     if not request_line:
         return None
     try:
@@ -226,17 +243,21 @@ async def _read_request(
     except (UnicodeDecodeError, ValueError) as exc:
         raise _HttpError(400, "malformed request line") from exc
     headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
+    for _ in range(MAX_HEADERS + 1):
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    else:
+        raise _HttpError(431, f"more than {MAX_HEADERS} header lines")
     length_text = headers.get("content-length", "0")
     try:
         length = int(length_text)
     except ValueError as exc:
         raise _HttpError(400, f"bad Content-Length {length_text!r}") from exc
+    if length < 0:
+        raise _HttpError(400, f"bad Content-Length {length_text!r}")
     if length > MAX_BODY_BYTES:
         raise _HttpError(413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
     body = await reader.readexactly(length) if length else b""

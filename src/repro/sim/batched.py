@@ -24,7 +24,10 @@ B-lane run is therefore **bit-identical** to the same trial run alone —
 same loads every round, same traces, same metrics — which is a strictly
 stronger claim than distributional bisimulation.  It is pinned
 per-algorithm by ``tests/sim/test_batched.py`` against the scalar round
-programs kept as a reference in ``tests/sim/serial_reference.py``.
+programs kept as a reference in ``tests/sim/serial_reference.py``.  The
+law those programs realize, one phase of loads from every load vector,
+is checked exactly against the agent chain lumped by load vector by
+``tests/sim/test_lumpability.py``.
 
 The vectorization win comes from the shared per-round math; on the
 kernel side every lane reads the process's join-distribution store
@@ -268,7 +271,6 @@ def _lane_signature(sim: CountingSimulator) -> tuple:
         getattr(alg, "join_probability", None),
         sim.n,
         sim.k,
-        sim.join_strategy,
         sim.pi_cache_enabled,
         _component_value(sim.feedback),
         _component_value(sim.schedule),
@@ -286,26 +288,6 @@ def _loads_to_assignment(loads: np.ndarray, living: int) -> np.ndarray:
     """
     labels = np.append(np.arange(loads.shape[0], dtype=np.int64), IDLE)
     return np.repeat(labels, np.append(loads, living - int(loads.sum())))
-
-
-def _sample_joins_per_ant(idle: int, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exact O(idle * k) per-ant simulation of the join step.
-
-    Each ant marks task ``j`` w.p. ``u[j]`` independently and joins a
-    uniform marked task (idle if none) — the cross-check of the kernel's
-    ``Multinomial(idle, pi)`` (``join_strategy="per_ant"``).
-    """
-    k = u.shape[0]
-    marks = rng.random((idle, k)) < u[np.newaxis, :]
-    counts = np.zeros(k, dtype=np.int64)
-    row_counts = marks.sum(axis=1)
-    rows = np.nonzero(row_counts > 0)[0]
-    if rows.size:
-        r = rng.integers(0, row_counts[rows])
-        csum = np.cumsum(marks[rows], axis=1)
-        chosen = np.argmax(csum > r[:, np.newaxis], axis=1)
-        counts += np.bincount(chosen, minlength=k).astype(np.int64)
-    return counts
 
 
 class BatchedCountingSimulator(JoinCacheStats):
@@ -352,7 +334,6 @@ class BatchedCountingSimulator(JoinCacheStats):
         self.population = lane0.population
         self.n = lane0.n
         self.k = lane0.k
-        self.join_strategy = lane0.join_strategy
         self._n_current = int(self.population.population_at(0))
         # The first lane's cache view counts the whole batch's lookups.
         self._join_cache = lane0._join_cache
@@ -508,23 +489,16 @@ class BatchedCountingSimulator(JoinCacheStats):
 
         Lane ``b``'s ``idle[b]`` exchangeable idle ants each mark task
         ``j`` w.p. ``underload_probs[b, j]`` and join a uniform marked
-        task; the default draws one ``Multinomial(idle, pi)`` over the
-        exact action distribution, and an empty pool draws nothing.
-        Each mark signature resolves through the process store, so lanes
-        whose deficits coincide (common in steady state) share one
-        kernel call.
+        task: one ``Multinomial(idle, pi)`` over the exact action
+        distribution, and an empty pool draws nothing.  Each mark
+        signature resolves through the process store, so lanes whose
+        deficits coincide (common in steady state) share one kernel call.
         """
         k = self.k
         joins = np.zeros((self.batch, k), dtype=np.int64)
         u = np.clip(underload_probs, 0.0, 1.0)
-        lanes = zip(idle.tolist(), rngs)
-        if self.join_strategy == "per_ant":
-            for b, (n_idle, rng) in enumerate(lanes):
-                if n_idle > 0:
-                    joins[b] = _sample_joins_per_ant(n_idle, u[b], rng)
-            return joins
         distribution = self._join_cache.distribution
-        for b, (n_idle, rng) in enumerate(lanes):
+        for b, (n_idle, rng) in enumerate(zip(idle.tolist(), rngs)):
             if n_idle > 0:
                 joins[b] = rng.multinomial(n_idle, distribution(u[b]))[:k]
         return joins

@@ -23,8 +23,7 @@ exchangeable.  The engine therefore simulates loads directly:
   point whose signature repeats skip the kernel entirely.  This keeps
   the engine genuinely polynomial in ``k`` — many-task scenarios
   (k = 64..16384) run exactly; the old ``O(2^k k)`` subset enumerator
-  survives only as the test oracle, and per-idle-ant sampling
-  (``join_strategy="per_ant"``) only as a distributional cross-check.
+  survives only as a test oracle.
 
 This module holds one trial's configuration (:class:`CountingSimulator`)
 and the join-distribution cache.  The round programs live in
@@ -32,11 +31,11 @@ and the join-distribution cache.  The round programs live in
 :func:`repro.sim.runner.run_trials` advances multi-trial runs as
 batches of lanes.
 
-This is the guides' "algorithmic optimization first": identical law to
-the agent engine (property-tested in
-``tests/sim/test_engine_equivalence.py``) at a per-round cost independent
-of ``n``.  It makes the ``t ~ n^4``-scale claims of Theorem 3.1
-empirically checkable on a laptop.
+This is the guides' "algorithmic optimization first": the same law as
+the agent engine lumped by load vector (checked exactly, from every load
+vector of small colonies, by ``tests/sim/test_lumpability.py``) at a
+per-round cost independent of ``n``.  It makes the ``t ~ n^4``-scale
+claims of Theorem 3.1 empirically checkable on a laptop.
 """
 
 from __future__ import annotations
@@ -63,18 +62,10 @@ __all__ = [
     "CountingSimulator",
     "JoinCacheStats",
     "JoinDistributionCache",
-    "JOIN_STRATEGIES",
     "PI_CACHE_MAX_BYTES",
     "PI_CACHE_MAX_ENTRIES",
     "clear_join_cache",
 ]
-
-#: How the joint join counts of the idle pool are drawn each decision
-#: round.  Both are exact in distribution: ``"exact"`` (default) is one
-#: ``Multinomial(idle, pi)`` over the join kernel's action
-#: distribution; ``"per_ant"`` simulates every idle ant's marks
-#: (O(idle * k)) and exists as a cross-check of the kernel.
-JOIN_STRATEGIES = ("exact", "per_ant")
 
 #: Entry cap of the process's join-distribution store.  Eviction is
 #: FIFO; each entry is one ``(k,)`` key and one ``(k + 1,)`` float64
@@ -240,9 +231,8 @@ class CountingSimulator(JoinCacheStats):
 
     Parameters mirror :class:`~repro.sim.engine.Simulator`; the initial
     state is given as per-task loads (plus implied idle ants) rather than
-    per-ant assignments.  ``join_strategy`` selects how the idle pool's
-    joint join counts are drawn (see :data:`JOIN_STRATEGIES`); both
-    choices are exact in distribution.
+    per-ant assignments.  The idle pool's joint join counts are one
+    ``Multinomial(idle, pi)`` over the join kernel's action distribution.
 
     ``pi_cache`` reads the join kernel through the process's
     content-addressed store (see :class:`JoinDistributionCache`), so
@@ -270,14 +260,8 @@ class CountingSimulator(JoinCacheStats):
         initial_loads: np.ndarray | None = None,
         seed: int | np.random.Generator | None = None,
         population: PopulationSchedule | None = None,
-        join_strategy: str = "exact",
         pi_cache: bool = True,
     ) -> None:
-        if join_strategy not in JOIN_STRATEGIES:
-            raise ConfigurationError(
-                f"join_strategy must be one of {JOIN_STRATEGIES}, got {join_strategy!r}"
-            )
-        self.join_strategy = join_strategy
         self.pi_cache_enabled = bool(pi_cache)
         if not isinstance(algorithm, (AntAlgorithm, TrivialAlgorithm, PreciseSigmoidAlgorithm)):
             raise ConfigurationError(

@@ -46,6 +46,7 @@ from repro.store.records import (
     read_record,
     write_record,
 )
+from repro.util.validation import check_positive
 
 __all__ = ["ResultStore"]
 
@@ -227,8 +228,16 @@ class ResultStore:
         The takeover goes through the same atomic rename-steal as lease
         reclaim, so gc can never delete a lease a live worker just
         refreshed.  Committed records are *never* age-evicted.
+
+        Both ages must be ``>= 0``: a negative one would reach past "now"
+        and take the live state the guarantees above protect, so it
+        raises :class:`~repro.exceptions.ConfigurationError` before the
+        lock is taken.
         """
-        grace = self.GC_GRACE_SECONDS if grace_seconds is None else float(grace_seconds)
+        grace = self.GC_GRACE_SECONDS if grace_seconds is None else grace_seconds
+        grace = check_positive("grace_seconds", grace, allow_zero=True)
+        if max_age_seconds is not None:
+            max_age_seconds = check_positive("max_age_seconds", max_age_seconds, allow_zero=True)
         cutoff = time.time() - grace
         removed = {"tmp": 0, "orphan_payloads": 0, "broken_records": 0, "stale_leases": 0}
         locks_dir = self.root / "locks"
@@ -267,7 +276,7 @@ class ResultStore:
                         removed["broken_records"] += 1
             if max_age_seconds is not None and self.sched_dir.is_dir():
                 for lease in self.sched_dir.rglob(f"*{LEASE_SUFFIX}"):
-                    if break_stale(lease, float(max_age_seconds)) is not None:
+                    if break_stale(lease, max_age_seconds) is not None:
                         removed["stale_leases"] += 1
         return removed
 

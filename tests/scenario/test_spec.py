@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.registry import available_algorithms
@@ -22,10 +23,15 @@ from repro.scenario import (
     DemandSpec,
     EngineSpec,
     FeedbackSpec,
+    PointJob,
     PopulationSpec,
+    ScenarioFactory,
     ScenarioSpec,
     available_engines,
 )
+from repro.sim.runner import run_trials
+
+from tests.serve.test_request import tiny_spec
 
 N, K = 2000, 4
 
@@ -373,6 +379,27 @@ class TestScenarioSpec:
                                  "params": {"join_strategy": "enumerate"}})
         with pytest.raises(ConfigurationError, match="join_strategy"):
             spec.build()
+
+    @pytest.mark.parametrize("engine", ["counting", "counting_batched"])
+    def test_per_ant_join_strategy_is_gone(self, engine):
+        spec = base_spec(engine={"name": engine, "params": {"join_strategy": "per_ant"}})
+        with pytest.raises(ConfigurationError, match="join_strategy"):
+            spec.build()
+
+    #: The digest of a point whose spec names ``join_strategy: "exact"``,
+    #: pinned while ``"per_ant"`` was still an option: making the param
+    #: inert moved no spec's digest.  Only a ``NUMERICS_VERSION`` bump may
+    #: move it.
+    EXACT_JOINS_DIGEST = "58e42fc41e6e725e4b57cc826ac692e0b03e60ab707f40219ea406abcab73dea"
+
+    def test_exact_join_strategy_keeps_its_digest_and_is_inert(self):
+        named = tiny_spec(engine={"name": "counting", "params": {"join_strategy": "exact"}})
+        job = PointJob(base=named, coordinate=(), rounds=60, trials=2, run_params={})
+        assert job.digest == self.EXACT_JOINS_DIGEST
+        arrays, _ = job.point_record(job.compute())
+        unnamed = run_trials(ScenarioFactory(tiny_spec()), job.rounds, job.trials, seed=job.seed)
+        for name, values in arrays.items():
+            np.testing.assert_array_equal(values, getattr(unnamed, name))
 
     def test_from_dict_rejects_unknown_keys(self):
         data = base_spec().to_dict()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -141,6 +142,72 @@ class TestRoutes:
             status, raw = poll_result(server.port, digest)
             assert status == 500
             assert "injected kernel failure" in json.loads(raw)["error"]
+
+
+def read_response(stream) -> tuple[int, dict[str, str], bytes]:
+    """One response from a socket's file: status, headers, body."""
+    status_line = stream.readline()
+    assert status_line, "the server closed the connection without answering"
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(status_line.split()[1]), headers, stream.read(int(headers["content-length"]))
+
+
+def raw_request(port: int, request: bytes) -> tuple[int, dict[str, str], bytes, bytes]:
+    """Send raw bytes on a new connection; the response and whatever
+    followed it before the server closed the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        with sock.makefile("rb") as stream:
+            status, headers, body = read_response(stream)
+            return status, headers, body, stream.read()
+
+
+def headers_of(count: int) -> bytes:
+    return b"".join(b"X-Header-%d: v\r\n" % i for i in range(count))
+
+
+class TestFraming:
+    """Malformed framing is answered, with a JSON error and the
+    connection closed, instead of dropping the connection."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, expected",
+        [
+            (b"POST /scenarios HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (b"GET /status HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+            (b"GET /status HTTP/1.1\r\n" + headers_of(101) + b"\r\n", 431),
+        ],
+        ids=["negative_length", "line_over_limit", "header_lines_over_cap"],
+    )
+    def test_malformed_framing_is_answered_and_closed(self, server, request_bytes, expected):
+        status, headers, body, after = raw_request(server.port, request_bytes)
+        assert status == expected
+        assert headers["connection"] == "close"
+        assert json.loads(body)["error"]
+        assert after == b""
+
+    def test_header_lines_at_the_cap_are_served(self, server):
+        # 100 header lines, the last one closing the connection.
+        request = b"GET /status HTTP/1.1\r\n" + headers_of(99) + b"Connection: close\r\n\r\n"
+        status, _, _, after = raw_request(server.port, request)
+        assert (status, after) == (200, b"")
+
+    def test_keep_alive_serves_requests_until_connection_close(self, server):
+        get = b"GET /status HTTP/1.1\r\nHost: x\r\n\r\n"
+        close = b"GET /status HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            with sock.makefile("rb") as stream:
+                for request, connection in ((get, "keep-alive"), (get, "keep-alive")):
+                    sock.sendall(request)
+                    status, headers, _ = read_response(stream)
+                    assert (status, headers["connection"]) == (200, connection)
+                sock.sendall(close)
+                status, headers, _ = read_response(stream)
+                assert (status, headers["connection"]) == (200, "close")
+                assert stream.read() == b""
 
 
 class TestMetricsEndpoint:

@@ -51,22 +51,8 @@ class _SerialRun:
         if idle <= 0:
             return np.zeros(self.k, dtype=np.int64)
         u = np.clip(underload_probs, 0.0, 1.0)
-        if self.sim.join_strategy == "per_ant":
-            return self.sample_joins_per_ant(idle, u)
         counts = self.rng.multinomial(idle, exact_join_probabilities(u))
         return counts[: self.k].astype(np.int64)
-
-    def sample_joins_per_ant(self, idle: int, u: np.ndarray) -> np.ndarray:
-        marks = self.rng.random((idle, self.k)) < u[np.newaxis, :]
-        counts = np.zeros(self.k, dtype=np.int64)
-        row_counts = marks.sum(axis=1)
-        rows = np.nonzero(row_counts > 0)[0]
-        if rows.size:
-            r = self.rng.integers(0, row_counts[rows])
-            csum = np.cumsum(marks[rows], axis=1)
-            chosen = np.argmax(csum > r[:, np.newaxis], axis=1)
-            counts += np.bincount(chosen, minlength=self.k).astype(np.int64)
-        return counts
 
     def check(self, W: np.ndarray) -> None:
         if np.any(W < 0) or int(W.sum()) > self.n_current:

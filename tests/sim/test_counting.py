@@ -30,12 +30,13 @@ class TestConstruction:
             )
 
     def test_rejects_unknown_join_strategy(self, small_demand):
-        with pytest.raises(ConfigurationError, match="join_strategy"):
+        # Joins are one multinomial over the kernel: nothing to choose.
+        with pytest.raises(TypeError, match="join_strategy"):
             CountingSimulator(
                 AntAlgorithm(gamma=0.01),
                 small_demand,
                 SigmoidFeedback(1.0),
-                join_strategy="enumerate",
+                join_strategy="exact",
             )
 
     def test_rejects_bad_initial_loads(self, small_demand):
@@ -156,35 +157,6 @@ class TestManyTasks:
             pi = kernel(u)
             np.testing.assert_allclose(pi, dp_join_probabilities(u), atol=1e-12)
             np.testing.assert_allclose(pi, fft_join_probabilities(u), atol=1e-12)
-
-    @pytest.mark.slow
-    def test_exact_matches_per_ant_cross_check(self):
-        """Same law for the multinomial-over-kernel and per-ant join
-        strategies: load moments agree within Monte-Carlo error at a k
-        beyond the retired enumeration limit."""
-        demand = uniform_demands(n=4000, k=20)
-        lam = lambda_for_critical_value(demand, gamma_star=0.02)
-        rounds, trials = 40, 60
-        probes = [2, 10, 40]
-
-        def stats_for(strategy):
-            samples = []
-            for trial in range(trials):
-                out = CountingSimulator(
-                    AntAlgorithm(gamma=0.05),
-                    demand,
-                    SigmoidFeedback(lam),
-                    seed=(5000 if strategy == "exact" else 6000) + trial,
-                    join_strategy=strategy,
-                ).run(rounds, trace_stride=1)
-                samples.append([out.trace.loads[t - 1] for t in probes])
-            arr = np.asarray(samples, dtype=float)
-            return arr.mean(axis=0), arr.std(axis=0)
-
-        mean_e, std_e = stats_for("exact")
-        mean_p, std_p = stats_for("per_ant")
-        sem = (std_e + std_p) / np.sqrt(trials) + 1e-9
-        assert np.all(np.abs(mean_e - mean_p) <= 4.0 * sem + 2.0)
 
 
 class TestBurnInValidation:

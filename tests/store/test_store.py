@@ -193,6 +193,49 @@ class TestGcMaxAge:
         assert lease.exists()
 
 
+class TestGcRejectsNegativeAges:
+    """A negative age reaches past "now": it would break a live lease, or
+    take a temp file and a payload from a write in flight."""
+
+    @pytest.mark.parametrize(
+        "ages",
+        [
+            {"max_age_seconds": -1},
+            {"grace_seconds": -10},
+            {"max_age_seconds": float("nan")},
+            {"grace_seconds": float("nan")},
+        ],
+        ids=["max_age_negative", "grace_negative", "max_age_nan", "grace_nan"],
+    )
+    def test_bad_age_raises_before_the_lock_and_keeps_live_state(
+        self, tmp_path, monkeypatch, ages
+    ):
+        import repro.store.store as store_mod
+        from repro.sched.leases import LeaseManager
+
+        store = _store_with_records(tmp_path)
+        lease = LeaseManager(store.sched_dir / "g").try_claim(D1)
+        temp = store.results_dir / D2[:2] / f"{TMP_PREFIX}in-flight.npz"
+        temp.write_bytes(b"in flight")
+        landed = "cc" * 32
+        (store.results_dir / landed[:2]).mkdir(parents=True, exist_ok=True)
+        payload = store.results_dir / landed[:2] / f"{landed}{PAYLOAD_SUFFIX}"
+        payload.write_bytes(b"manifest lands next")
+        locks = []
+
+        def spy(path, *args, **kwargs):
+            locks.append(path)
+            return FileLock(path, *args, **kwargs)
+
+        monkeypatch.setattr(store_mod, "FileLock", spy)
+        name = next(iter(ages))
+        with pytest.raises(ConfigurationError, match=name):
+            store.gc(**ages)
+        assert locks == []
+        assert lease.refresh()
+        assert temp.exists() and payload.exists()
+
+
 class TestFileLock:
     def test_exclusion_and_release(self, tmp_path):
         path = tmp_path / "x.lock"

@@ -179,39 +179,6 @@ class TestSubsetJoinProbabilities:
         # Stay-idle probability equals prod(1 - u_j).
         assert pi[-1] == pytest.approx(float(np.prod(1.0 - np.array(u))), abs=1e-9)
 
-    def test_matches_monte_carlo(self, rng):
-        u = np.array([0.6, 0.2, 0.9])
-        pi = enumerate_subset_join_probabilities(u)
-        trials = 200_000
-        marks = rng.random((trials, 3)) < u
-        counts = np.zeros(4)
-        rows_any = marks.any(axis=1)
-        counts[3] = (~rows_any).sum()
-        idx = np.nonzero(rows_any)[0]
-        row_counts = marks[idx].sum(axis=1)
-        r = rng.integers(0, row_counts)
-        csum = np.cumsum(marks[idx], axis=1)
-        chosen = np.argmax(csum > r[:, None], axis=1)
-        counts[:3] = np.bincount(chosen, minlength=3)
-        np.testing.assert_allclose(counts / trials, pi, atol=5e-3)
-
-
-def _per_ant_monte_carlo(u: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Empirical action distribution by simulating each ant's marks."""
-    k = u.shape[0]
-    counts = np.zeros(k + 1)
-    marks = rng.random((trials, k)) < u
-    rows_any = marks.any(axis=1)
-    counts[k] = (~rows_any).sum()
-    idx = np.nonzero(rows_any)[0]
-    if idx.size:
-        row_counts = marks[idx].sum(axis=1)
-        r = rng.integers(0, row_counts)
-        csum = np.cumsum(marks[idx], axis=1)
-        chosen = np.argmax(csum > r[:, None], axis=1)
-        counts[:k] = np.bincount(chosen, minlength=k)
-    return counts / trials
-
 
 class TestPoissonBinomialPmf:
     """The DP Poisson-binomial PMF oracle (tests/join_oracles.py)."""
@@ -375,9 +342,10 @@ class TestFftJoinProbabilities:
 
 
 class TestExactJoinProbabilities:
-    """The O(k^2) kernel must be exact in law: identical to the subset
-    enumerator wherever the enumerator is feasible, and identical to
-    per-ant sampling beyond it."""
+    """The kernel must be exact in law: identical to the subset enumerator
+    wherever the enumerator is feasible (beyond it, to the DP and FFT
+    oracles; one idle ant's join law is checked exactly against the
+    agent algorithm in ``tests/sim/test_lumpability.py``)."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -409,15 +377,6 @@ class TestExactJoinProbabilities:
             enumerate_subset_join_probabilities(u),
             atol=1e-12,
         )
-
-    @pytest.mark.slow
-    def test_matches_per_ant_sampling_large_k(self, rng):
-        # Beyond the enumerator's reach the oracle is Monte Carlo.
-        k = 64
-        u = rng.random(k)
-        pi = exact_join_probabilities(u)
-        mc = _per_ant_monte_carlo(u, trials=200_000, rng=rng)
-        np.testing.assert_allclose(mc, pi, atol=5e-3)
 
     def test_large_k_valid_distribution(self):
         for k in (64, 128, 256):
