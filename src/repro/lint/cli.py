@@ -18,7 +18,6 @@ on.
 from __future__ import annotations
 
 import argparse
-import ast
 from pathlib import Path
 from typing import Iterable, Iterator
 

@@ -289,9 +289,9 @@ async def _handle_connection(
             started = obs_monotonic()
             content_type = JSON_TYPE
             try:
-                # The route handler does blocking store I/O (reads are
-                # mmap-fast); run it off the event loop so one slow
-                # disk read never stalls other connections.
+                # The route handler does blocking store I/O (each hit
+                # reads both record files); run it off the event loop so
+                # one slow disk read never stalls other connections.
                 status, payload, content_type = await asyncio.to_thread(
                     _route, service, method, path, body
                 )

@@ -40,9 +40,6 @@ claims of Theorem 3.1 empirically checkable on a laptop.
 
 from __future__ import annotations
 
-import os
-import threading
-
 import numpy as np
 
 from repro.core.ant import AntAlgorithm
@@ -55,6 +52,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs import complete_span, get_registry
 from repro.obs import monotonic as obs_monotonic
 from repro.sim.engine import SimulationResult, _coerce_schedule
+from repro.util.bounded_store import BoundedStore
 from repro.util.mathx import exact_join_probabilities
 from repro.util.rng import RngFactory
 
@@ -75,57 +73,11 @@ PI_CACHE_MAX_ENTRIES = 4096
 #: entries at k = 8192, so the entry cap binds first up to k ~ 4000.
 PI_CACHE_MAX_BYTES = 256 << 20
 
-
-class _JoinStore:
-    """The process's join distributions, keyed by the byte image of ``u``.
-
-    Lookups are lock-free dict reads.  Inserts and evictions hold
-    :attr:`lock`, so concurrent threads (the service's workers) never
-    evict the same entry twice or iterate a dict another thread is
-    growing.  A forked child replaces the lock — a thread that held it
-    at the fork does not exist in the child — and recounts the bytes of
-    the entries it inherited, which stay valid: every value is the
-    kernel's output for its key.
-    """
-
-    def __init__(self) -> None:
-        self.entries: dict[bytes, np.ndarray] = {}
-        self.nbytes = 0
-        self.lock = threading.Lock()
-
-    def put(self, key: bytes, pi: np.ndarray) -> np.ndarray:
-        """Store ``pi`` read-only under ``key``; returns the stored array."""
-        pi.setflags(write=False)
-        size = len(key) + pi.nbytes
-        if size > PI_CACHE_MAX_BYTES:
-            return pi
-        with self.lock:
-            stored = self.entries.get(key)
-            if stored is not None:  # another thread inserted it meanwhile
-                return stored
-            entries = self.entries
-            while entries and (
-                len(entries) >= PI_CACHE_MAX_ENTRIES or self.nbytes + size > PI_CACHE_MAX_BYTES
-            ):
-                old = next(iter(entries))
-                self.nbytes -= len(old) + entries.pop(old).nbytes
-            entries[key] = pi
-            self.nbytes += size
-        return pi
-
-    def clear(self) -> None:
-        with self.lock:
-            self.entries.clear()
-            self.nbytes = 0
-
-    def after_fork_in_child(self) -> None:
-        self.lock = threading.Lock()
-        self.nbytes = sum(len(key) + pi.nbytes for key, pi in self.entries.items())
-
-
-_STORE = _JoinStore()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_STORE.after_fork_in_child)
+#: The process's join distributions, keyed by the byte image of ``u``;
+#: each value is the kernel's read-only output for its key.
+_STORE: BoundedStore[np.ndarray] = BoundedStore(
+    max_entries=PI_CACHE_MAX_ENTRIES, max_bytes=PI_CACHE_MAX_BYTES, sizeof=lambda pi: pi.nbytes
+)
 
 
 def clear_join_cache() -> None:
@@ -189,7 +141,9 @@ class JoinDistributionCache:
             return pi
         self.misses += 1
         self._obs_misses.inc()
-        return _STORE.put(key, self._run_kernel(u))
+        pi = self._run_kernel(u)
+        pi.setflags(write=False)
+        return _STORE.put(key, pi)
 
     def _run_kernel(self, u: np.ndarray) -> np.ndarray:
         """Run the exact join kernel, timed through the clock seam.

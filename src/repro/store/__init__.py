@@ -21,9 +21,9 @@ artifacts durable and shareable:
 * :mod:`repro.store.locks` — a minimal advisory file lock for
   maintenance operations (``gc``) that must not race each other.
 
-Layering: this package depends only on numpy and the standard library —
-never on ``repro.sim`` / ``repro.scenario`` — so the simulation layers
-can import it freely.
+Layering: this package depends only on numpy, the standard library,
+``repro.exceptions`` and ``repro.util`` — never on ``repro.sim`` /
+``repro.scenario`` — so the simulation layers can import it freely.
 """
 
 from repro.store.digest import (

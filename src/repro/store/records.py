@@ -31,6 +31,16 @@ is harmless.  Reads treat every failure mode — missing manifest,
 unparsable JSON, wrong format version, missing or corrupt payload — as
 *record absent*, so callers recompute instead of crashing; ``gc`` sweeps
 the debris.
+
+Reads decode each payload once per process.  :func:`read_record` reads
+both files on every call, and takes the decoded arrays from a bounded
+per-process memo keyed by the payload's exact bytes.  A memo hit
+therefore means the file holds bytes equal to bytes this process once
+decoded successfully, CRC check included, and the arrays are what
+decoding them again would give.  Only successful decodes are stored,
+so a payload that was corrupted, truncated, rewritten or deleted since
+is always seen.  Writes never fill the memo: its values come from the
+decoder alone.
 """
 
 from __future__ import annotations
@@ -47,9 +57,11 @@ from zipfile import BadZipFile
 
 import numpy as np
 import numpy.typing as npt
+from numpy.lib.npyio import NpzFile
 
 from repro.exceptions import ConfigurationError
 from repro.store.digest import STORE_FORMAT
+from repro.util.bounded_store import BoundedStore
 
 __all__ = [
     "Record",
@@ -71,6 +83,25 @@ PAYLOAD_SUFFIX = ".npz"
 #: final :func:`os.replace` never crosses a filesystem boundary).  ``gc``
 #: removes any that outlive their writer.
 TMP_PREFIX = ".tmp-"
+
+#: Entry cap of the process's payload memo.  Eviction is FIFO.
+PAYLOAD_MEMO_MAX_ENTRIES = 4096
+#: Byte budget of the memo: the payload bytes (its keys) plus their
+#: decoded arrays.
+PAYLOAD_MEMO_MAX_BYTES = 64 << 20
+
+
+def _arrays_nbytes(arrays: Mapping[str, npt.NDArray[Any]]) -> int:
+    return sum(array.nbytes for array in arrays.values())
+
+
+#: Decoded payloads, keyed by the payload's bytes; the arrays are
+#: read-only.
+_PAYLOADS: BoundedStore[dict[str, npt.NDArray[Any]]] = BoundedStore(
+    max_entries=PAYLOAD_MEMO_MAX_ENTRIES,
+    max_bytes=PAYLOAD_MEMO_MAX_BYTES,
+    sizeof=_arrays_nbytes,
+)
 
 
 @dataclass(frozen=True)
@@ -169,24 +200,52 @@ def read_manifest(directory: Path, digest: str) -> dict[str, Any] | None:
     return meta
 
 
+def _decode_payload(data: bytes) -> dict[str, npt.NDArray[Any]]:
+    """The read-only arrays of an npz payload: the memo's entry for these
+    exact bytes, or a fresh decode that is then stored.
+
+    Raises what the decoder raises on bytes that are not a valid npz
+    archive; nothing is memoized then.
+    """
+    arrays = _PAYLOADS.entries.get(data)
+    if arrays is not None:
+        return arrays
+    # numpy parses each entry's header with ast.literal_eval, and the AST
+    # constructor of CPython 3.11 keeps its recursion depth per
+    # interpreter, not per thread: concurrent decodes can raise
+    # SystemError.  The memo's lock, replaced in a forked child,
+    # serializes them.
+    with _PAYLOADS.lock:
+        loaded = np.load(io.BytesIO(data), allow_pickle=False)
+        if not isinstance(loaded, NpzFile):
+            raise ValueError("payload is not an npz archive")
+        with loaded:
+            arrays = {name: loaded[name] for name in loaded.files}
+    for array in arrays.values():
+        array.setflags(write=False)
+    return _PAYLOADS.put(data, arrays)
+
+
 def read_record(directory: Path, digest: str) -> Record | None:
     """The complete record, or ``None`` for *any* failure mode.
 
     Missing manifest, unparsable manifest, format mismatch, missing
     payload, and corrupt payload all read as "record absent": the caller
     recomputes (and overwrites the debris), which is the recovery story
-    for interrupted or corrupted writes.
+    for interrupted or corrupted writes.  The arrays are the caller's
+    own writable copies.
     """
     directory = Path(directory)
     meta = read_manifest(directory, digest)
     if meta is None:
         return None
     try:
-        with np.load(directory / f"{digest}{PAYLOAD_SUFFIX}") as payload:
-            arrays = {name: payload[name].copy() for name in payload.files}
+        arrays = _decode_payload((directory / f"{digest}{PAYLOAD_SUFFIX}").read_bytes())
     except (OSError, ValueError, EOFError, KeyError, BadZipFile):
         return None
-    return Record(digest=digest, meta=meta, arrays=arrays)
+    return Record(
+        digest=digest, meta=meta, arrays={name: array.copy() for name, array in arrays.items()}
+    )
 
 
 def delete_record(directory: Path, digest: str) -> int:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 import time
-import zipfile
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -109,18 +108,17 @@ class ResultStore:
     # Records
 
     def has_record(self, digest: str) -> bool:
-        """True when a committed record with a readable payload exists.
+        """True when :meth:`read_record` would return the record.
 
-        Agrees with :meth:`read_record` on every partial state a crash,
-        a truncated copy or a corrupt disk can leave: a manifest whose
-        payload is missing, truncated or not a zip archive reads as
-        absent, so grid workers and the service recompute the point
-        instead of skipping it forever.  The payload check is a
-        zip-directory probe, not a full read.
+        It is that read: "committed" means readable, on every partial
+        state a crash, a truncated copy or a corrupt disk can leave — a
+        manifest whose payload is missing, truncated, or fails its CRC
+        check reads as absent, so grid workers and the service recompute
+        the point instead of skipping it forever.  The payload is read on
+        every call; its decode runs once per process for the same bytes
+        (see :mod:`repro.store.records`).
         """
-        directory = self.record_dir(digest)
-        payload = directory / f"{digest}{PAYLOAD_SUFFIX}"
-        return read_manifest(directory, digest) is not None and zipfile.is_zipfile(payload)
+        return read_record(self.record_dir(digest), digest) is not None
 
     def read_record(self, digest: str) -> Record | None:
         """The record, or ``None`` when absent or unreadable."""

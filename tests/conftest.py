@@ -24,14 +24,16 @@ from repro.env.critical import lambda_for_critical_value
 from repro.env.demands import DemandVector, uniform_demands
 from repro.env.feedback import SigmoidFeedback
 from repro.sim.counting import clear_join_cache
+from repro.store import records as records_mod
 
 
 @pytest.fixture(autouse=True)
-def cold_join_cache():
-    """Start every test from an empty process join-distribution store, so
-    kernel-call and cache-hit counts do not depend on which tests ran
-    before."""
+def cold_process_stores():
+    """Start every test from an empty process join-distribution store and
+    payload memo, so kernel-call, cache-hit and decode counts do not
+    depend on which tests ran before."""
     clear_join_cache()
+    records_mod._PAYLOADS.clear()
 
 
 @pytest.fixture

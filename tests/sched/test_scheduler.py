@@ -35,6 +35,9 @@ from repro.sched import (
 )
 from repro.sched.scheduler import GRID_MANIFEST
 from repro.store import LEASE_SUFFIX, ResultStore
+from repro.store.records import PAYLOAD_SUFFIX
+
+from tests.store.test_records import flip_entry_byte
 
 
 def tiny_spec(**overrides) -> ScenarioSpec:
@@ -135,6 +138,21 @@ class TestCrashRecovery:
         store_b = ResultStore(tmp_path / "b")
         run_worker(store_b, grid)
         assert tree_hashes(store_a) == tree_hashes(store_b)
+
+    def test_corrupt_committed_point_is_recomputed(self, tmp_path):
+        # A payload that fails its CRC check is not committed: the grid
+        # is not done until the point is recomputed, and then it reads.
+        grid = single_axis_grid([0.02, 0.04], trials=1)
+        store = ResultStore(tmp_path)
+        run_grid(store, grid)
+        before = tree_hashes(store)
+        point = grid.points()[0]
+        flip_entry_byte(store.record_dir(point.digest) / f"{point.digest}{PAYLOAD_SUFFIX}")
+        assert not grid_status(store, grid)["done"]
+        status = run_grid(store, grid)
+        assert status["done"] and status["computed"] == 1
+        assert len(collect_grid(store, grid).summaries) == 2
+        assert tree_hashes(store) == before
 
     def test_max_points_zero_commits_nothing(self, tmp_path):
         grid = single_axis_grid([0.02, 0.03, 0.04], trials=1)

@@ -16,11 +16,14 @@ import time
 import pytest
 
 import repro.scenario.runner as scenario_runner_mod
+from repro.scenario import sweep_scenario
 from repro.serve import BackgroundServer, ScenarioService, record_body
 from repro.store import ResultStore
+from repro.store.records import PAYLOAD_SUFFIX
 
 from tests.serve.test_request import tiny_spec
 from tests.serve.test_service import RunTrialsSpy
+from tests.store.test_records import flip_entry_byte
 
 POLL = 0.01
 
@@ -119,6 +122,24 @@ class TestRoutes:
             assert status == 400
             assert "warp" in json.loads(raw)["error"]
         assert server.service.status().misses == 0
+
+    def test_corrupt_seeded_record_is_recomputed_byte_identical(self, tmp_path):
+        # A payload whose zip directory is intact but whose entry fails
+        # its CRC check is not committed: the POST queues it (202), and
+        # the recomputed payload matches the original byte for byte.
+        store = ResultStore(tmp_path)
+        sweep_scenario(tiny_spec(), "algorithm.gamma", [0.03], trials=2, store=store)
+        ((digest, _),) = store.iter_records()
+        payload = store.record_dir(digest) / f"{digest}{PAYLOAD_SUFFIX}"
+        original = payload.read_bytes()
+        flip_entry_byte(payload)
+        with BackgroundServer(ScenarioService(store, workers=1)) as server:
+            status, raw = call(server.port, "POST", "/scenarios", body_for(0.03))
+            assert status == 202 and json.loads(raw)["digest"] == digest
+            status, _ = poll_result(server.port, digest)
+            assert status == 200
+            assert server.service.status().computed == 1
+        assert payload.read_bytes() == original
 
     def test_back_pressure_answers_503(self, tmp_path):
         service = ScenarioService(ResultStore(tmp_path), workers=0, max_pending=1)

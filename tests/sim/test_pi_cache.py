@@ -99,7 +99,7 @@ class TestCacheReuse:
         assert 0 < second_total <= first_total
 
     def test_capacity_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(counting_mod, "PI_CACHE_MAX_ENTRIES", 3)
+        monkeypatch.setattr(counting_mod._STORE, "max_entries", 3)
         sim = _binary_sim()
         sim.run(400)
         assert len(counting_mod._STORE.entries) <= 3
@@ -310,7 +310,7 @@ class TestProcessStore:
         assert (cache.hits, cache.misses) == (1, 2)
 
     def test_fifo_eviction_bounds_entries(self, monkeypatch):
-        monkeypatch.setattr(counting_mod, "PI_CACHE_MAX_ENTRIES", 2)
+        monkeypatch.setattr(counting_mod._STORE, "max_entries", 2)
         cache = JoinDistributionCache(enabled=True)
         signatures = [np.full(4, p) for p in (0.1, 0.2, 0.3)]
         for u in signatures:
@@ -322,7 +322,7 @@ class TestProcessStore:
 
     def test_byte_budget_bounds_the_store(self, monkeypatch):
         entry = 4 * 8 + 5 * 8  # a k = 4 key and its (k + 1,) value
-        monkeypatch.setattr(counting_mod, "PI_CACHE_MAX_BYTES", 2 * entry)
+        monkeypatch.setattr(counting_mod._STORE, "max_bytes", 2 * entry)
         cache = JoinDistributionCache(enabled=True)
         for p in (0.1, 0.2, 0.3):
             cache.distribution(np.full(4, p))
@@ -336,8 +336,8 @@ class TestProcessStore:
 
     def test_concurrent_lookups_and_inserts_stay_bounded(self, monkeypatch):
         max_entries, max_bytes = 6, 500
-        monkeypatch.setattr(counting_mod, "PI_CACHE_MAX_ENTRIES", max_entries)
-        monkeypatch.setattr(counting_mod, "PI_CACHE_MAX_BYTES", max_bytes)
+        monkeypatch.setattr(counting_mod._STORE, "max_entries", max_entries)
+        monkeypatch.setattr(counting_mod._STORE, "max_bytes", max_bytes)
         rng = np.random.default_rng(3)
         signatures = [rng.random(k) for k in (3, 4, 5, 6) for _ in range(6)]
         expected = {u.tobytes(): exact_join_probabilities(u).tobytes() for u in signatures}

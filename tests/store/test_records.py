@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import io
+import struct
+import zipfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +22,24 @@ from repro.store.records import (
 )
 
 DIGEST = "ab" * 32
+
+
+def flip_entry_byte(payload: Path) -> None:
+    """Flip the last data byte of a payload's first zip entry, in place.
+
+    The zip directory stays intact (``zipfile.is_zipfile`` is still
+    True) and the size does not change; only the entry's CRC check
+    fails when it is read.
+    """
+    data = bytearray(payload.read_bytes())
+    with zipfile.ZipFile(io.BytesIO(bytes(data))) as zf:
+        entry = zf.infolist()[0]
+    # A local file header is 30 fixed bytes, then the name and the extra
+    # field; the entry's (stored) bytes follow.
+    offset = entry.header_offset
+    name_len, extra_len = struct.unpack("<HH", data[offset + 26 : offset + 30])
+    data[offset + 30 + name_len + extra_len + entry.compress_size - 1] ^= 0xFF
+    payload.write_bytes(bytes(data))
 
 
 def _write(tmp_path, digest=DIGEST, **extra_meta):

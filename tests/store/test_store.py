@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 
 import numpy as np
@@ -11,8 +12,30 @@ from repro.exceptions import ConfigurationError
 from repro.store import FileLock, LockTimeout, ResultStore
 from repro.store.records import MANIFEST_SUFFIX, PAYLOAD_SUFFIX, TMP_PREFIX
 
+from tests.store.test_records import flip_entry_byte
+
 D1 = "aa" * 32
 D2 = "bb" * 32
+
+
+def _npy_bytes() -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, np.array([1.0, 2.0]))
+    return buffer.getvalue()
+
+
+#: Every state a crash, a partial copy or a bad disk can leave a record
+#: in, as ``(manifest path, payload path) -> None`` edits.
+RECORD_STATES = {
+    "intact": lambda manifest, payload: None,
+    "missing_manifest": lambda manifest, payload: manifest.unlink(),
+    "wrong_format_manifest": lambda manifest, payload: manifest.write_text('{"format": 999}'),
+    "missing_payload": lambda manifest, payload: payload.unlink(),
+    "truncated_payload": lambda manifest, payload: payload.write_bytes(payload.read_bytes()[:-20]),
+    "garbage_payload": lambda manifest, payload: payload.write_bytes(b"not an npz at all"),
+    "npy_payload": lambda manifest, payload: payload.write_bytes(_npy_bytes()),
+    "flipped_entry_byte": lambda manifest, payload: flip_entry_byte(payload),
+}
 
 
 def _store_with_records(tmp_path) -> ResultStore:
@@ -34,6 +57,18 @@ class TestRecords:
         rec = store.read_record(D1)
         assert rec.meta["label"] == "one"
         assert np.array_equal(rec.arrays["average_regrets"], [1.0, 2.0])
+
+    @pytest.mark.parametrize("state", sorted(RECORD_STATES))
+    def test_has_record_is_exactly_a_successful_read(self, tmp_path, state):
+        # "Committed" has one definition: a record the service and the
+        # grid count as done must also be one their readers can load.
+        store = _store_with_records(tmp_path)
+        shard = store.record_dir(D1)
+        RECORD_STATES[state](shard / f"{D1}{MANIFEST_SUFFIX}", shard / f"{D1}{PAYLOAD_SUFFIX}")
+        readable = store.read_record(D1) is not None
+        assert readable == (state == "intact")
+        assert store.has_record(D1) == readable
+        assert store.has_record(D2) and store.read_record(D2) is not None
 
     def test_sharded_layout(self, tmp_path):
         store = _store_with_records(tmp_path)
