@@ -9,15 +9,18 @@ Two entry points:
   records kernel + counting-engine throughput to a JSON file, which CI
   uploads so the performance trajectory of the hot path is tracked.
 
-Both modes assert the acceptance criteria accumulated so far: the
-exact (Gauss-Legendre quadrature) kernel is >= 10x faster than subset
-enumeration at k = 12; an exact counting run at k = 64 (impossible
-under the old ``2^k`` enumerator) completes, and so does one at
-k = 8192; and the process's join-distribution store amortizes kernel
-work across the trials of a multi-trial scenario run.  The ``kernel`` rows
-time the one kernel from k = 12 to k = 8192 (the sub-millisecond
-k = 12 and k = 64 calls in samples of many calls); the regression gate
-holds each to its recorded time.
+The pytest cases assert the acceptance criteria accumulated so far:
+the exact (Gauss-Legendre quadrature) kernel is >= 10x faster than
+subset enumeration at k = 12; an exact counting run at k = 64
+(impossible under the old ``2^k`` enumerator) completes, and so does
+one at k = 8192; and the process's join-distribution store amortizes
+kernel work across the trials of a multi-trial scenario run.  The
+recorder keeps every correctness check but asserts no speedup floor:
+it writes the ratios and the ``floors`` table, and the gate enforces
+the committed baseline's floors, printing every violation at once.
+The ``kernel`` rows time the one kernel from k = 12 to k = 8192 (the
+sub-millisecond k = 12 and k = 64 calls in samples of many calls); the
+regression gate holds each to its recorded time.
 
 The JSON record also carries a ``floors`` table mapping dotted record
 paths to the minimum acceptable value of each speedup ratio; the CI
@@ -229,13 +232,7 @@ def _shared_cache_comparison() -> dict:
     )
     assert shared_misses < solo_misses, "no cross-trial signature ever repeated"
     amortized = 1.0 - shared_misses / solo_misses
-    assert amortized >= SHARED_CACHE_AMORTIZATION_FLOOR, (
-        f"sharing the join store saved only {amortized:.1%} of kernel calls"
-    )
     speedup = t_solo / t_shared
-    assert speedup >= SHARED_CACHE_SPEEDUP_FLOOR, (
-        f"sharing the join store slowed the run down ({speedup:.2f}x)"
-    )
     return {
         "k": SHARED_SWEEP_K,
         "trials": SHARED_SWEEP_TRIALS,
@@ -255,7 +252,14 @@ def test_counting_engine_k8192_exact_run():
 
 
 def test_shared_pi_cache_amortizes_across_trials():
-    _shared_cache_comparison()
+    row = _shared_cache_comparison()
+    amortized = row["cross_trial_amortization"]
+    assert amortized >= SHARED_CACHE_AMORTIZATION_FLOOR, (
+        f"sharing the join store saved only {amortized:.1%} of kernel calls"
+    )
+    assert row["speedup"] >= SHARED_CACHE_SPEEDUP_FLOOR, (
+        f"sharing the join store slowed the run down ({row['speedup']:.2f}x)"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -275,9 +279,7 @@ def collect() -> dict:
         t = timer(lambda: exact_join_probabilities(u), repeats=20)
         record["kernel"][f"k={k}"] = {"seconds_per_call": t, "calls_per_second": 1.0 / t}
 
-    speedup = t_enum / record["kernel"][f"k={ENUM_K}"]["seconds_per_call"]
-    record["speedup_at_k12"] = speedup
-    assert speedup >= SPEEDUP_FLOOR, f"speedup {speedup:.1f}x below {SPEEDUP_FLOOR}x floor"
+    record["speedup_at_k12"] = t_enum / record["kernel"][f"k={ENUM_K}"]["seconds_per_call"]
 
     for k in ENGINE_KS:
         sim = _engine_for(k)

@@ -15,8 +15,9 @@ package scales that idea out:
   Double execution after a reclaim is *safe* because commits are
   idempotent digest-keyed records with deterministic bytes.
 * :mod:`repro.sched.worker` — the claim → compute → commit → release
-  loop over the grid's points, each a :class:`~repro.scenario.PointJob`
-  exactly as in a store-backed ``sweep_scenario``.
+  loop over point jobs (:class:`~repro.scenario.PointJob`, exactly as
+  in a store-backed ``sweep_scenario``): a grid worker drains a grid's
+  points through it, a :mod:`repro.serve` worker one request's job.
 * :mod:`repro.sched.scheduler` — grid persistence (``grid.json`` in the
   store), frontier status, the N-process orchestrator
   (:func:`run_grid`), and result collection (:func:`collect_grid`).

@@ -31,6 +31,7 @@ rescued from dead workers.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -49,6 +50,7 @@ from repro.store import (
     read_owner,
     write_owner_file,
 )
+from repro.util.validation import check_in_range
 
 __all__ = ["DEFAULT_LEASE_TTL", "Lease", "LeaseManager"]
 
@@ -132,8 +134,10 @@ class LeaseManager:
 
     def __post_init__(self) -> None:
         self.grid_dir = Path(self.grid_dir)
-        if self.ttl <= 0:
-            raise ValueError(f"lease ttl must be positive, got {self.ttl!r}")
+        # NaN or +inf would never go stale (and spin or kill the heartbeat).
+        self.ttl = check_in_range(
+            "lease ttl", self.ttl, 0.0, math.inf, inclusive_low=False, inclusive_high=False
+        )
         self._lease_dir = self.grid_dir / "leases"
         self._lease_dir.mkdir(parents=True, exist_ok=True)
 

@@ -206,6 +206,8 @@ def run_grid(
     (``perfbench/workloads.py``) still passes it.
     """
     store = ResultStore.coerce(store)
+    # Rejects a bad ttl before anything is written or forked.
+    LeaseManager(store.sched_dir / grid.grid_digest(), ttl=ttl)
     init_grid(store, grid)
 
     if workers <= 0:

@@ -13,16 +13,16 @@ store.  ``submit`` computes the request's sweep-point digest and then:
   refused with :class:`~repro.exceptions.ServiceBusy` once
   ``max_pending`` requests are outstanding (back pressure).
 
-Workers drain the queue by computing and committing each request's
-:class:`~repro.scenario.PointJob` — the job a store-backed sweep or a
-:mod:`repro.sched` worker runs for the same point — so a record is
-byte-identical no matter which path computed it.  Each execution is
-guarded by the scheduler's lease protocol
-(:class:`repro.sched.leases.LeaseManager` under
-``<store>/sched/serve/``): several service processes may front one
-store, a crashed process's in-flight request is reclaimed after the
-TTL, and the digest-keyed idempotent commit makes the double-execution
-worst case harmless.
+Each worker thread drains a request's :class:`~repro.scenario.PointJob`
+— the job a store-backed sweep or a :mod:`repro.sched` worker runs for
+the same point — through the grid worker's lease loop
+(:func:`repro.sched.worker.drain_jobs`, with leases under
+``<store>/sched/serve/``), so a record is byte-identical no matter
+which path computed it.  Several service processes may front one
+store: a digest another process holds a live lease on is retried until
+that process commits it, a crashed process's lease is reclaimed after
+the TTL, and the digest-keyed idempotent commit makes the
+double-execution worst case harmless.
 
 The service is synchronous and thread-based on purpose: simulations are
 CPU-bound, so the asyncio layer (:mod:`repro.serve.http`) stays
@@ -34,16 +34,14 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any
 
 from repro.exceptions import ServiceBusy
 from repro.obs import get_registry
-from repro.obs import monotonic as obs_monotonic
-from repro.obs import span as obs_span
 from repro.scenario.runner import PointJob
-from repro.sched.leases import DEFAULT_LEASE_TTL, Lease, LeaseManager
+from repro.sched.leases import DEFAULT_LEASE_TTL, LeaseManager
+from repro.sched.worker import WorkerStats, drain_jobs
 from repro.serve.request import ScenarioRequest
 from repro.store import ResultStore
 
@@ -58,10 +56,6 @@ DEFAULT_MAX_PENDING = 256
 #: Subdirectory of the store's sched area holding the service's leases
 #: (kept apart from grid leases, which live under per-grid digests).
 SERVE_LEASE_DIR = "serve"
-
-#: How often a worker denied a digest's lease re-checks for the holder's
-#: commit (or for its lease to go stale).
-POLL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -133,11 +127,11 @@ class ScenarioService:
         self._hits = 0
         self._misses = 0
         self._coalesced = 0
-        self._computed = 0
         self._failures = 0
-        self._lease_denied = 0
         self._stopping = False
         self._threads: list[threading.Thread] = []
+        # One per worker thread ever started; /status sums them.
+        self._worker_stats: list[WorkerStats] = []
         self._n_workers = int(workers)
         # One manager (and lease dir) shared by every service process
         # fronting this store; constructed eagerly so `is_leased` works
@@ -156,12 +150,14 @@ class ScenarioService:
                 return
             self._stopping = False
             for index in range(self._n_workers):
+                stats = WorkerStats()
                 thread = threading.Thread(
                     target=self._worker_loop,
-                    args=(index,),
+                    args=(index, stats),
                     name=f"serve-worker-{index}",
                     daemon=True,
                 )
+                self._worker_stats.append(stats)
                 self._threads.append(thread)
         for thread in self._threads:
             thread.start()
@@ -260,87 +256,35 @@ class ScenarioService:
                 hits=self._hits,
                 misses=self._misses,
                 coalesced=self._coalesced,
-                computed=self._computed,
+                computed=sum(stats.computed for stats in self._worker_stats),
                 failed=self._failures,
-                lease_denied=self._lease_denied,
+                lease_denied=sum(stats.lease_denied for stats in self._worker_stats),
                 reclaimed=self._manager.reclaimed_count(),
             )
 
     # ------------------------------------------------------------------
     # Worker side
 
-    def _worker_loop(self, index: int) -> None:
+    def _worker_loop(self, index: int, stats: WorkerStats) -> None:
         manager = LeaseManager(
             self.store.sched_dir / SERVE_LEASE_DIR,
             ttl=self.ttl,
             worker_id=f"serve-{index}",
         )
-        while True:
-            digest = self._queue.get()
-            if digest is None:
-                return
+        seconds = get_registry().histogram("repro_serve_compute_seconds")
+        while (digest := self._queue.get()) is not None:
+            with self._lock:
+                job = None if self._stopping else self._pending.get(digest)
             try:
-                self._execute(digest, manager)
+                if job is not None:
+                    drain_jobs(self.store, manager, [job], stats=stats, seconds=seconds)
+                    stats.digests.clear()  # unread here; keeps a long-lived thread flat
+            except Exception as exc:  # noqa: BLE001 — failures become responses
+                with self._lock:
+                    self._failures += 1
+                    self._failed[digest] = f"{type(exc).__name__}: {exc}"
             finally:
-                self._queue.task_done()
-
-    def _execute(self, digest: str, manager: LeaseManager) -> None:
-        with self._lock:
-            job = self._pending.get(digest)
-            stopping = self._stopping
-        if job is None or stopping:
-            if job is not None:
+                # After the commit and the lease release: a poll that
+                # finds the digest neither pending nor leased sees it.
                 with self._lock:
                     self._pending.pop(digest, None)
-            return
-        try:
-            while not self.store.has_record(digest):
-                lease = manager.try_claim(digest)
-                if lease is None:
-                    # Another process is computing this digest; wait for
-                    # its commit (or for its heartbeat to go stale).
-                    with self._lock:
-                        self._lease_denied += 1
-                    if self._wait_for_commit_or_stale(digest, manager):
-                        break
-                    continue
-                try:
-                    # The reclaimed holder may have committed after our
-                    # staleness check — the record, not the lease, decides.
-                    if self.store.has_record(digest):
-                        break
-                    self._compute(job, lease)
-                finally:
-                    lease.release()
-                break
-        except Exception as exc:  # noqa: BLE001 — failures become responses
-            with self._lock:
-                self._failures += 1
-                self._failed[digest] = f"{type(exc).__name__}: {exc}"
-        finally:
-            with self._lock:
-                self._pending.pop(digest, None)
-
-    def _compute(self, job: PointJob, lease: Lease) -> None:
-        started = obs_monotonic()
-        with lease.heartbeat(self.ttl / 4.0):
-            with obs_span("serve_compute", digest=job.digest):
-                summary = job.compute()
-        get_registry().histogram("repro_serve_compute_seconds").observe(
-            obs_monotonic() - started
-        )
-        # Commit even when the lease was lost: the digest pins the
-        # content, so a double commit writes identical bytes.
-        arrays, meta = job.point_record(summary)
-        self.store.write_record(job.digest, arrays, meta)
-        with self._lock:
-            self._computed += 1
-
-    def _wait_for_commit_or_stale(self, digest: str, manager: LeaseManager) -> bool:
-        """Poll until the record lands (True) or the lease goes stale (False)."""
-        while True:
-            if self.store.has_record(digest):
-                return True
-            if not manager.is_leased(digest):
-                return False
-            time.sleep(POLL_S)

@@ -13,6 +13,12 @@ overhead (a single kernel call costs microseconds), so
 and a single :meth:`CountingSimulator.run
 <repro.sim.counting.CountingSimulator.run>` is a one-lane batch.
 
+There are two round programs.  The phase program runs Precise Sigmoid's
+``2m``-round phases, and Algorithm Ant as their ``m = 1`` case: one
+read per sample window and no median, the reduction the paper's proof
+of Theorem 3.2 makes.  The trivial algorithm's program makes a
+decision every round.
+
 **Bit-identity, not just law-equivalence.**  Every lane draws from its
 own :class:`numpy.random.Generator`, derived from the lane's seed
 (``RngFactory(seed).stream("counting")`` — the ``SeedSequence``
@@ -50,7 +56,7 @@ from __future__ import annotations
 
 import pickle
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -391,9 +397,13 @@ class BatchedCountingSimulator(JoinCacheStats):
         self._join_cache.reset_stats()
 
         if isinstance(self.algorithm, AntAlgorithm):
-            loads_iter = self._run_ant(rounds, rngs)
+            loads_iter = self._run_phases(rounds, rngs, 1)
         elif isinstance(self.algorithm, PreciseSigmoidAlgorithm):
-            loads_iter = self._run_precise_sigmoid(rounds, rngs)
+            m = self.algorithm.m
+            majority = m // 2  # median LACK iff lack-count > m/2, i.e. >= majority+1
+            loads_iter = self._run_phases(
+                rounds, rngs, m, lambda p: stats.binom.sf(majority, m, p)
+            )
         else:
             loads_iter = self._run_trivial(rounds, rngs)
 
@@ -537,72 +547,36 @@ class BatchedCountingSimulator(JoinCacheStats):
     # never exceed the phase-start loads and joins never exceed the idle
     # pool, so the load check runs once per phase, after its decisions.
 
-    def _run_ant(self, rounds: int, rngs: list[np.random.Generator]):
-        """Algorithm Ant: two-round phases (sample 1 + pause, sample 2 +
-        decisions).
+    def _run_phases(
+        self,
+        rounds: int,
+        rngs: list[np.random.Generator],
+        m: int,
+        median: Callable[[np.ndarray], np.ndarray] | None = None,
+    ):
+        """Algorithm Ant (``m = 1``) and Precise Sigmoid: ``2m``-round
+        phases.
 
-        Phase-start loads and sample-1 probabilities persist across the
-        two rounds of a phase.
+        Within a phase, the loads are piecewise constant: ``W_phase``
+        during the sample-1 window (assignments held), ``W_mid`` after
+        the round-``m`` pause, and ``W_next`` after the end-of-phase
+        decision.  Precise Sigmoid passes ``median``, the map from a
+        read's lack probability to its window median's: each ant's two
+        medians are i.i.d. Bernoulli with the binomially amplified
+        probabilities ``P_med = P[Binom(m, s(lambda*Delta)) > m/2]``,
+        which makes the phase-level colony transition identical in law
+        to one Algorithm Ant phase at step size ``gamma'`` — exactly the
+        reduction the Theorem 3.2 proof performs.  Ant is the ``m = 1``
+        case with no median: one read per window.
         """
-        alg: AntAlgorithm = self.algorithm  # type: ignore[assignment]
+        alg = self.algorithm
         lack_probabilities = self._lack_probabilities
         demands_at = self.schedule.demands_at
         pause_p = alg.pause_probability
         leave_p = alg.leave_probability
         W = self._initial_loads()
         W_phase = W
-        p1 = np.zeros((self.batch, self.k), dtype=np.float64)
-        for t in range(1, rounds + 1):
-            d_prev = demands_at(t - 1).demands
-            if t % 2 == 1:
-                # Round 1: sample-1 marginals, temporary pauses.
-                W = self._apply_population(t, W, rngs)
-                W_phase = W
-                p1 = lack_probabilities(d_prev - W)
-                paused = self._binomial_lanes(rngs, W_phase, pause_p)
-                W = W_phase - paused
-                yield t, W, paused.sum(axis=-1)
-            else:
-                # Round 2: sample-2 marginals (of the thinned load);
-                # permanent leaves among the phase-start workers, joins
-                # by idle-at-phase-start ants.
-                p2 = lack_probabilities(d_prev - W)
-                q_leave = (1.0 - p1) * (1.0 - p2) * leave_p
-                leavers = self._binomial_lanes(rngs, W_phase, q_leave)
-                idle = self._n_current - W_phase.sum(axis=-1)
-                joins = self._sample_joins(idle, p1 * p2, rngs)
-                prev_paused = W_phase - W  # ants that resume this round
-                W = W_phase - leavers + joins
-                self._check(W)
-                # Switches: leavers + joiners + resumers returning to work
-                # (pauses were counted in the round they paused).
-                yield t, W, (leavers + joins + prev_paused).sum(axis=-1)
-
-    def _run_precise_sigmoid(self, rounds: int, rngs: list[np.random.Generator]):
-        """Algorithm Precise Sigmoid: ``2m``-round phases.
-
-        Within a phase, the loads are piecewise constant: ``W_phase``
-        during the sample-1 window (assignments held), ``W_mid`` after
-        the round-``m`` pause, and ``W_next`` after the end-of-phase
-        decision.  Each ant's two *medians* are therefore i.i.d.
-        Bernoulli with the binomially amplified probabilities
-        ``P_med = P[Binom(m, s(lambda*Delta)) > m/2]``, which makes the
-        phase-level colony transition identical in law to one Algorithm
-        Ant phase at step size ``gamma'`` — exactly the reduction the
-        Theorem 3.2 proof performs.
-        """
-        alg: PreciseSigmoidAlgorithm = self.algorithm  # type: ignore[assignment]
-        lack_probabilities = self._lack_probabilities
-        demands_at = self.schedule.demands_at
-        m = alg.m
-        W = self._initial_loads()
-        W_phase = W
         P1 = np.zeros((self.batch, self.k), dtype=np.float64)
-        majority = m // 2  # median LACK iff lack-count > m/2, i.e. >= majority+1
-
-        def median_lack(p: np.ndarray) -> np.ndarray:
-            return stats.binom.sf(majority, m, p)
-
         hold = np.zeros(self.batch, dtype=np.int64)
         for t in range(1, rounds + 1):
             r = t % (2 * m)
@@ -611,22 +585,26 @@ class BatchedCountingSimulator(JoinCacheStats):
                 # Sample-1 window opens: loads frozen at W_phase.
                 W = self._apply_population(t, W, rngs)
                 W_phase = W
-                P1 = lack_probabilities(d_prev - W_phase, median_lack)
+                P1 = lack_probabilities(d_prev - W_phase, median)
             if r == m:
                 # End of window 1: temporary pauses thin the load.
-                paused = self._binomial_lanes(rngs, W_phase, alg.pause_probability)
+                paused = self._binomial_lanes(rngs, W_phase, pause_p)
                 W = W_phase - paused
                 yield t, W, paused.sum(axis=-1)
             elif r == 0:
-                # End of phase: medians of window 2, Ant-style decisions.
-                P2 = lack_probabilities(d_prev - W, median_lack)
-                q_leave = (1.0 - P1) * (1.0 - P2) * alg.leave_probability
+                # End of phase: window-2 reads (of the thinned load);
+                # permanent leaves among the phase-start workers, joins
+                # by idle-at-phase-start ants.
+                P2 = lack_probabilities(d_prev - W, median)
+                q_leave = (1.0 - P1) * (1.0 - P2) * leave_p
                 leavers = self._binomial_lanes(rngs, W_phase, q_leave)
                 idle = self._n_current - W_phase.sum(axis=-1)
                 joins = self._sample_joins(idle, P1 * P2, rngs)
                 resumed = W_phase - W
                 W = W_phase - leavers + joins
                 self._check(W)
+                # Switches: leavers + joiners + resumers returning to work
+                # (pauses were counted in the round they paused).
                 yield t, W, (leavers + joins + resumed).sum(axis=-1)
             else:
                 # Hold rounds: loads unchanged.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,10 @@ _spec = importlib.util.spec_from_file_location(
 )
 check_regression = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_regression)
+
+with open(REPO_ROOT / "BENCH_counting.json", encoding="utf-8") as _f:
+    #: The committed counting baseline's floors (dotted path -> floor).
+    COMMITTED_FLOORS = json.load(_f)["floors"]
 
 
 @pytest.fixture
@@ -132,6 +137,23 @@ class TestAgainstCommittedBaseline:
         paths = [path for path, _ in check_regression.iter_numeric_leaves(baseline)]
         for name in ("fft", "dp_", "join_kernel_methods", "heterogeneous"):
             assert not any(name in path for path in paths + list(baseline["floors"])), name
+
+    @pytest.mark.parametrize("path", sorted(COMMITTED_FLOORS))
+    def test_each_floor_fails_the_gate_just_below_it(self, baseline, path):
+        # The benchmark recorders assert no floor, so this gate is where
+        # every committed floor is enforced.
+        floor = float(COMMITTED_FLOORS[path])
+        *parents, leaf = path.split(".")
+        fresh = copy.deepcopy(baseline)
+        node = fresh
+        for part in parents:
+            node = node[part]
+        node[leaf] = floor
+        assert check_regression.check_regressions(baseline, fresh) == []
+        node[leaf] = math.nextafter(floor, -math.inf)
+        violations = check_regression.check_regressions(baseline, fresh)
+        assert len(violations) == 1
+        assert path in violations[0] and "below its floor" in violations[0]
 
 
 class TestMainCli:

@@ -184,3 +184,41 @@ class TestSchedMain:
         )
         out = self._run(capsys, "store", "gc", store, "--grace", "0", "--max-age", "86400")
         assert "gc removed" in out and "stale_leases=0" in out
+
+
+class TestNonFiniteTtl:
+    """Every command taking ``--ttl`` refuses NaN and +inf before it
+    binds a port or forks a worker: such a lease never goes stale."""
+
+    @pytest.fixture(autouse=True)
+    def no_bind_or_fork(self, monkeypatch):
+        import multiprocessing
+
+        import repro.serve
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached a port bind or a worker fork")
+
+        monkeypatch.setattr(repro.serve, "run_server", refuse)
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+
+    @pytest.mark.parametrize("ttl", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["run", "work", "status", "serve"])
+    def test_is_refused(self, tmp_path, spec_file, command, ttl):
+        from repro.exceptions import ConfigurationError
+
+        store = str(tmp_path / "grid")
+        run = [
+            "sched", "run", spec_file, "--store", store,
+            "--axis", "algorithm.gamma=0.02", "--trials", "1",
+        ]
+        if command in ("work", "status"):
+            assert main([*run, "--init-only"]) == 0
+        argv = {
+            "run": [*run, "--workers", "2"],
+            "work": ["sched", "work", store],
+            "status": ["sched", "status", store],
+            "serve": ["serve", store, "--port", "0"],
+        }[command]
+        with pytest.raises(ConfigurationError, match="lease ttl"):
+            main([*argv, "--ttl", ttl])

@@ -7,11 +7,13 @@ by sleeping, so these tests are deterministic and fast.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.sched.leases import RECLAIM_LOG, Lease, LeaseManager
 from repro.store import owner_token, read_owner, write_owner_file
 
@@ -69,6 +71,14 @@ class TestClaims:
     def test_ttl_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="ttl"):
             LeaseManager(tmp_path, ttl=0.0)
+
+    @pytest.mark.parametrize("ttl", [math.nan, math.inf, 0.0, -1.0])
+    def test_ttl_must_be_finite_and_positive(self, tmp_path, ttl):
+        # A NaN or infinite TTL never goes stale: a dead holder's lease
+        # would block its point forever (and NaN spins the heartbeat).
+        with pytest.raises(ConfigurationError, match="lease ttl"):
+            LeaseManager(tmp_path, ttl=ttl)
+        assert not (tmp_path / "leases").exists()
 
 
 class TestHeartbeat:

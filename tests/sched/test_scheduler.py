@@ -335,6 +335,16 @@ class TestRunGridWorkers:
         assert status["done"]
         assert len(status_calls) <= elapsed / interval + 3
 
+    def test_bad_ttl_raises_before_any_fork_or_lease(self, tmp_path, monkeypatch):
+        def no_fork(*args, **kwargs):
+            raise AssertionError("run_grid reached its process context")
+
+        monkeypatch.setattr(scheduler_mod.multiprocessing, "get_context", no_fork)
+        grid = single_axis_grid([0.02], trials=1)
+        with pytest.raises(ConfigurationError, match="lease ttl"):
+            run_grid(ResultStore(tmp_path), grid, workers=2, ttl=float("nan"))
+        assert not list(tmp_path.rglob(f"*{LEASE_SUFFIX}"))
+
     def test_all_workers_crashing_raises_but_preserves_frontier(self, tmp_path):
         # An unrunnable grid (bogus run kwarg survives JSON validation
         # but explodes at execution) kills every worker; the orchestrator

@@ -8,6 +8,7 @@ structurally impossible to observe (only counters tell you it happened).
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro.scenario.runner as scenario_runner_mod
-from repro.exceptions import ServiceBusy
+from repro.exceptions import ConfigurationError, ServiceBusy
 from repro.scenario import sweep_scenario
 from repro.sched.leases import LeaseManager
 from repro.serve import ScenarioRequest, ScenarioService
@@ -212,6 +213,52 @@ class TestLeases:
         assert service.status().computed == 1
         assert service.status().reclaimed == 1
 
+    def test_live_foreign_lease_is_waited_out_not_recomputed(self, tmp_path, monkeypatch):
+        """Another process computing the digest: the worker keeps
+        retrying its claim (counted live in /status) and takes the
+        foreign commit instead of computing."""
+        store = ResultStore(tmp_path)
+        request = request_for(0.03)
+        digest = request.digest()
+        other = LeaseManager(store.sched_dir / SERVE_LEASE_DIR, ttl=60.0, worker_id="other")
+        lease = other.try_claim(digest)
+        assert lease is not None
+        spy = RunTrialsSpy(monkeypatch)
+        service = ScenarioService(store, workers=1)
+        with service:
+            assert service.submit(request) == (digest, "queued")
+            wait_for(lambda: service.status().lease_denied >= 1)
+            assert service.state_of(digest) == "pending"
+            job = request.job  # the foreign process computes and commits
+            arrays, meta = job.point_record(job.compute())
+            store.write_record(digest, arrays, meta)
+            lease.release()
+            wait_for(lambda: service.state_of(digest) == "committed")
+        assert service.status().computed == 0
+        assert spy.calls == 1  # the foreign computation only
+
+    def test_silent_foreign_lease_is_reclaimed_after_its_ttl(self, tmp_path):
+        """A foreign lease that never heartbeats nor commits blocks the
+        digest for one TTL; then the service reclaims it and computes."""
+        store = ResultStore(tmp_path)
+        request = request_for(0.03)
+        digest = request.digest()
+        silent = LeaseManager(store.sched_dir / SERVE_LEASE_DIR, ttl=0.5, worker_id="silent")
+        assert silent.try_claim(digest) is not None
+        service = ScenarioService(store, workers=1, ttl=0.5)
+        with service:
+            service.submit(request)
+            wait_for(lambda: service.state_of(digest) == "committed")
+        status = service.status()
+        assert status.computed == 1 and status.reclaimed == 1
+        assert status.lease_denied >= 1
+
+    @pytest.mark.parametrize("ttl", [math.nan, math.inf])
+    def test_non_finite_ttl_is_refused_before_any_worker_starts(self, tmp_path, ttl):
+        with pytest.raises(ConfigurationError, match="lease ttl"):
+            ScenarioService(ResultStore(tmp_path), workers=2, ttl=ttl)
+        assert not any(t.name.startswith("serve-worker") for t in threading.enumerate())
+
     def test_fresh_foreign_lease_reports_pending(self, tmp_path):
         """Cross-process coalescing: another process's live computation
         makes the digest poll as pending here."""
@@ -260,8 +307,10 @@ class TestPollRace:
         done = []
 
         def finish():
-            # The worker's exit order in ScenarioService._execute.  The
-            # pop skips the lock: the hook may run while state_of holds it.
+            # A service worker's exit order: drain_jobs commits and
+            # releases the lease, then ScenarioService._worker_loop pops
+            # the digest.  The pop skips the lock: the hook may run
+            # while state_of holds it.
             if not done:
                 done.append(True)
                 store.write_record(digest, {"a": np.array([1.0])}, {"kind": "sweep_point"})
