@@ -12,13 +12,8 @@ import numpy as np
 
 from repro.analysis.report import format_table
 from repro.analysis.theory import precise_adversarial_rate
-from repro.core.ant import AntAlgorithm
-from repro.core.precise_adversarial import PreciseAdversarialAlgorithm
-from repro.env.adversary import make_adversary
-from repro.env.demands import uniform_demands
-from repro.env.feedback import AdversarialFeedback
-from repro.experiments.base import Claim, ExperimentResult, experiment
-from repro.sim.engine import Simulator
+from repro.experiments.base import Claim, ExperimentResult, colony_spec, experiment, sweep_store
+from repro.scenario import AlgorithmSpec, EngineSpec, FeedbackSpec, sweep_scenario
 from repro.types import assignment_from_loads
 
 __all__ = ["run_e9_precise_adversarial"]
@@ -27,47 +22,44 @@ __all__ = ["run_e9_precise_adversarial"]
 @experiment("E9", "Theorem 3.6: Precise Adversarial is (1+eps)-close with few switches")
 def run_e9_precise_adversarial(scale: str = "full", seed: int = 0) -> ExperimentResult:
     n = 8000 if scale != "quick" else 4000
-    demand = uniform_demands(n=n, k=4)
     gs = 0.01  # gamma_ad = the adversarial critical value
     gamma = 0.025
     eps = 0.5
     rounds = 30000 if scale != "quick" else 8000
-    burn = rounds // 2
     strategies = ["random", "push_away"] if scale == "quick" else [
         "random", "push_away", "always_lack", "correct",
     ]
 
-    pa = PreciseAdversarialAlgorithm(gamma=gamma, eps=eps)
-    ant = AntAlgorithm(gamma=gamma)
+    adv = {"feedback": FeedbackSpec("adversarial", {"gamma_ad": gs}), "engine": EngineSpec("agent")}
+    pa = AlgorithmSpec("precise_adversarial", {"gamma": gamma, "eps": eps})
+    pa_spec = colony_spec(n, gs, pa, rounds=rounds, burn_in=rounds // 2, seed=seed, **adv)
+    ant = AlgorithmSpec("ant", {"gamma": gamma})
+    ant_spec = colony_spec(n, gs, ant, rounds=rounds // 2, burn_in=rounds // 4, seed=seed, **adv)
+    demand = pa_spec.initial_demand()
     start = assignment_from_loads(
         np.round(demand.as_array() * (1.0 + 2.0 * gamma)).astype(np.int64), n
-    )
+    ).tolist()
+    with sweep_store() as store:
+        out_pa, out_ant = (
+            sweep_scenario(
+                spec.with_param("engine.initial_assignment", start),
+                "feedback.strategy",
+                strategies,
+                trials=1,
+                store=store,
+            )
+            for spec in (pa_spec, ant_spec)
+        )
     bound_rate = precise_adversarial_rate(eps, gamma, demand.total)
     bound_closeness = bound_rate / (gs * demand.total)
 
-    rows, pa_closenesses, switch_ratios = [], [], []
-    for i, strat in enumerate(strategies):
-        out_pa = Simulator(
-            pa,
-            demand,
-            AdversarialFeedback(gamma_ad=gs, strategy=make_adversary(strat)),
-            seed=seed + i,
-            initial_assignment=start,
-        ).run(rounds, burn_in=burn)
-        out_ant = Simulator(
-            ant,
-            demand,
-            AdversarialFeedback(gamma_ad=gs, strategy=make_adversary(strat)),
-            seed=seed + 100 + i,
-            initial_assignment=start,
-        ).run(rounds // 2, burn_in=rounds // 4)
-        c_pa = out_pa.metrics.closeness(gs, demand.total)
-        c_ant = out_ant.metrics.closeness(gs, demand.total)
-        s_pa = out_pa.metrics.switches_per_round
-        s_ant = out_ant.metrics.switches_per_round
-        pa_closenesses.append(c_pa)
-        switch_ratios.append(s_pa / max(s_ant, 1e-12))
-        rows.append([strat, c_pa, c_ant, s_pa, s_ant])
+    pa_closenesses = out_pa.series("mean_closeness")
+    pa_switches = out_pa.series("mean_switches_per_round")
+    ant_switches = out_ant.series("mean_switches_per_round")
+    switch_ratios = pa_switches / np.maximum(ant_switches, 1e-12)
+    rows = list(
+        zip(strategies, pa_closenesses, out_ant.series("mean_closeness"), pa_switches, ant_switches)
+    )
 
     res = ExperimentResult("E9", run_e9_precise_adversarial.title, scale)
     res.tables.append(
@@ -90,11 +82,11 @@ def run_e9_precise_adversarial(scale: str = "full", seed: int = 0) -> Experiment
     res.claims.append(
         Claim.shape(
             "PA switches an order of magnitude less than Ant (all adversaries)",
-            bool(np.all(np.array(switch_ratios) < 0.1)),
+            bool(np.all(switch_ratios < 0.1)),
             measured=float(np.max(switch_ratios)),
             bound=0.1,
         )
     )
-    res.series["pa_closeness"] = np.array(pa_closenesses)
-    res.series["switch_ratio_pa_over_ant"] = np.array(switch_ratios)
+    res.series["pa_closeness"] = pa_closenesses
+    res.series["switch_ratio_pa_over_ant"] = switch_ratios
     return res

@@ -1,4 +1,4 @@
-"""Experiment infrastructure: results, claims, registry.
+"""Experiment infrastructure: results, claims, registry, sweep helpers.
 
 An experiment regenerates one paper artifact (figure or theorem claim).
 Its result carries:
@@ -13,13 +13,18 @@ suite can assert the qualitative shape (every claim ``ok``).
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import contextlib
+import os
+import tempfile
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.scenario import AlgorithmSpec, ScenarioSpec
+from repro.store import ResultStore
 
 __all__ = ["Claim", "ExperimentResult", "experiment", "get_experiment", "list_experiments"]
 
@@ -133,3 +138,34 @@ def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
         raise ConfigurationError(
             f"unknown experiment {experiment_id!r}; known: {known}"
         ) from None
+
+
+@contextlib.contextmanager
+def sweep_store() -> Iterator[ResultStore]:
+    """The store experiments commit their sweep points to: ``$REPRO_STORE``
+    when set, so re-running over it computes nothing; else a temporary one."""
+    root = os.environ.get("REPRO_STORE")
+    if root:
+        yield ResultStore(root)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        yield ResultStore(tmp)
+
+
+def colony_spec(
+    n: int, gamma_star: float, algorithm: AlgorithmSpec, *, burn_in: int, **fields: Any
+) -> ScenarioSpec:
+    """``n`` ants over 4 equal tasks on the counting engine, under sigmoid noise
+    calibrated to ``gamma_star`` (the closeness reference); ``fields`` set or
+    replace the other :class:`~repro.scenario.ScenarioSpec` fields."""
+    return ScenarioSpec(
+        **{
+            "algorithm": algorithm,
+            "demand": {"name": "uniform", "params": {"n": n, "k": 4}},
+            "feedback": {"name": "calibrated_sigmoid", "params": {"gamma_star": gamma_star}},
+            "engine": {"name": "counting"},
+            "run_params": {"burn_in": burn_in},
+            "gamma_star": gamma_star,
+            **fields,
+        }
+    )

@@ -22,7 +22,8 @@ from repro.core.trivial import TrivialAlgorithm
 from repro.env.critical import lambda_for_critical_value
 from repro.env.demands import uniform_demands
 from repro.env.feedback import SigmoidFeedback, ThresholdFeedback
-from repro.experiments.base import Claim, ExperimentResult, experiment
+from repro.experiments.base import Claim, ExperimentResult, colony_spec, experiment, sweep_store
+from repro.scenario import AlgorithmSpec, sweep_scenario
 from repro.sim.counting import CountingSimulator
 
 __all__ = ["run_e6_memory_tradeoff", "run_e7_oscillation", "run_e8_adversarial_lb"]
@@ -31,30 +32,28 @@ __all__ = ["run_e6_memory_tradeoff", "run_e7_oscillation", "run_e8_adversarial_l
 @experiment("E6", "Theorem 3.3: memory/closeness tradeoff (closeness ~ 2^-bits)")
 def run_e6_memory_tradeoff(scale: str = "full", seed: int = 0) -> ExperimentResult:
     n = 80000 if scale != "quick" else 40000
-    demand = uniform_demands(n=n, k=4)
     gs = 0.01
-    lam = lambda_for_critical_value(demand, gamma_star=gs)
     gamma = 0.04
     rounds = 150000 if scale != "quick" else 30000
-    burn = rounds // 10
     bits = (1, 5, 6, 7) if scale == "quick" else (1, 5, 6, 7, 8)
 
     family = bounded_memory_family(gamma, bits)
     rows, closenesses = [], []
-    for i, spec in enumerate(family):
-        if spec.window > 1:
-            start = np.round(
-                demand.as_array() * (1.0 + 2.0 * spec.algorithm.step_size)
-            ).astype(np.int64)
-        else:
-            start = np.round(demand.as_array() * (1.0 + 2.0 * gamma)).astype(np.int64)
-        sim = CountingSimulator(
-            spec.algorithm, demand, SigmoidFeedback(lam), seed=seed + i, initial_loads=start
-        )
-        out = sim.run(rounds, burn_in=burn)
-        c = out.metrics.closeness(gs, demand.total)
-        closenesses.append(c)
-        rows.append([spec.counter_bits, spec.window, spec.eps_effective, c])
+    with sweep_store() as store:
+        for member in family:
+            if member.window > 1:
+                params = {"gamma": gamma, "eps": member.eps_effective}
+                algorithm = AlgorithmSpec("precise_sigmoid", params)
+                step = member.algorithm.step_size
+            else:
+                algorithm, step = AlgorithmSpec("ant", {"gamma": gamma}), gamma
+            spec = colony_spec(n, gs, algorithm, rounds=rounds, burn_in=rounds // 10, seed=seed)
+            demand = spec.initial_demand().as_array()
+            start = np.round(demand * (1.0 + 2.0 * step)).astype(np.int64).tolist()
+            out = sweep_scenario(spec, "engine.initial_loads", [start], trials=1, store=store)
+            c = out.summaries[0].mean_closeness
+            closenesses.append(c)
+            rows.append([member.counter_bits, member.window, member.eps_effective, c])
 
     res = ExperimentResult("E6", run_e6_memory_tradeoff.title, scale)
     res.series["counter_bits"] = np.array([s.counter_bits for s in family], dtype=float)

@@ -627,7 +627,9 @@ def main(argv: list[str] | None = None) -> int:
         result = fn(scale=args.scale, seed=args.seed)
         dt = obs_monotonic() - t0
         print(result.report())
-        print(f"({eid} took {dt:.1f}s)\n")
+        # Timing goes to stderr: a re-run over the same store prints the same bytes.
+        print(f"({eid} took {dt:.1f}s)", file=sys.stderr)
+        print()
         overall_ok &= result.all_ok
     return 0 if overall_ok else 1
 

@@ -14,70 +14,45 @@ import numpy as np
 
 from repro.analysis.report import format_table
 from repro.analysis.theory import ant_closeness_bound, precise_sigmoid_rate
-from repro.core.ant import AntAlgorithm
-from repro.core.precise_sigmoid import PreciseSigmoidAlgorithm
-from repro.env.adversary import RandomInGreyZone
-from repro.env.critical import lambda_for_critical_value
-from repro.env.demands import uniform_demands
-from repro.env.feedback import AdversarialFeedback, SigmoidFeedback
-from repro.experiments.base import Claim, ExperimentResult, experiment
-from repro.sim.counting import CountingSimulator
-from repro.sim.engine import Simulator
+from repro.experiments.base import Claim, ExperimentResult, colony_spec, experiment, sweep_store
+from repro.scenario import AlgorithmSpec, EngineSpec, FeedbackSpec, sweep_scenario
 
 __all__ = ["run_e3_ant_closeness", "run_e4_self_stabilization", "run_e5_precise_sigmoid"]
-
-_E3_GAMMA_STAR = 0.01
-
-
-def _e3_colony(scale: str):
-    n = 8000 if scale != "quick" else 4000
-    demand = uniform_demands(n=n, k=4)
-    lam = lambda_for_critical_value(demand, gamma_star=_E3_GAMMA_STAR)
-    return demand, lam
 
 
 @experiment("E3", "Theorem 3.1: Algorithm Ant closeness <= 5*gamma/gamma*, both noise models")
 def run_e3_ant_closeness(scale: str = "full", seed: int = 0) -> ExperimentResult:
-    demand, lam = _e3_colony(scale)
-    gs = _E3_GAMMA_STAR
+    n = 8000 if scale != "quick" else 4000
+    gs = 0.01
     rounds = 40000 if scale != "quick" else 8000
-    burn = rounds // 2
     trials = 3 if scale != "quick" else 2
     gammas = [2 * gs, 2.5 * gs, 4 * gs, 6 * gs]
 
-    rows = []
-    sig_closeness, adv_closeness, bounds = [], [], []
-    for i, gamma in enumerate(gammas):
-        bound = ant_closeness_bound(gamma, gs)
-        # Sigmoid noise: counting engine (exact in distribution, O(k)/round).
-        c_sig = []
-        for trial in range(trials):
-            sim = CountingSimulator(
-                AntAlgorithm(gamma=gamma), demand, SigmoidFeedback(lam),
-                seed=seed + 1000 * i + trial,
-            )
-            out = sim.run(rounds, burn_in=burn)
-            c_sig.append(out.metrics.closeness(gs, demand.total))
-        # Adversarial noise (random-in-grey): agent engine, fewer rounds.
-        adv_rounds = rounds // 2
-        c_adv = []
-        for trial in range(trials):
-            fb = AdversarialFeedback(gamma_ad=gs, strategy=RandomInGreyZone())
-            sim = Simulator(
-                AntAlgorithm(gamma=gamma), demand, fb, seed=seed + 5000 + 1000 * i + trial
-            )
-            out = sim.run(adv_rounds, burn_in=adv_rounds // 2)
-            c_adv.append(out.metrics.closeness(gs, demand.total))
-        ms, ma = float(np.mean(c_sig)), float(np.mean(c_adv))
-        sig_closeness.append(ms)
-        adv_closeness.append(ma)
-        bounds.append(bound)
-        rows.append([f"{gamma / gs:.1f}", ms, ma, bound])
+    ant = AlgorithmSpec("ant", {"gamma": gammas[0]})
+    # Sigmoid noise: counting engine (exact in distribution, O(k)/round).
+    sig_spec = colony_spec(n, gs, ant, rounds=rounds, burn_in=rounds // 2, seed=seed)
+    # Adversarial noise (random-in-grey): agent engine, half the rounds.
+    random = FeedbackSpec("adversarial", {"gamma_ad": gs, "strategy": "random"})
+    adv = {"feedback": random, "engine": EngineSpec("agent")}
+    adv_spec = colony_spec(n, gs, ant, rounds=rounds // 2, burn_in=rounds // 4, seed=seed, **adv)
+    with sweep_store() as store:
+        sig_out, adv_out = (
+            sweep_scenario(spec, "algorithm.gamma", gammas, trials=trials, store=store)
+            for spec in (sig_spec, adv_spec)
+        )
+    sig_closeness = sig_out.series("mean_closeness")
+    adv_closeness = adv_out.series("mean_closeness")
+    bounds = [ant_closeness_bound(gamma, gs) for gamma in gammas]
+    rows = [
+        [f"{gamma / gs:.1f}", ms, ma, bound]
+        for gamma, ms, ma, bound in zip(gammas, sig_closeness, adv_closeness, bounds)
+    ]
+    demand = sig_spec.initial_demand()
 
     res = ExperimentResult("E3", run_e3_ant_closeness.title, scale)
     res.series["gamma_over_gamma_star"] = np.array([g / gs for g in gammas])
-    res.series["closeness_sigmoid"] = np.array(sig_closeness)
-    res.series["closeness_adversarial"] = np.array(adv_closeness)
+    res.series["closeness_sigmoid"] = sig_closeness
+    res.series["closeness_adversarial"] = adv_closeness
     res.series["bound"] = np.array(bounds)
     res.tables.append(
         format_table(
@@ -101,34 +76,27 @@ def run_e3_ant_closeness(scale: str = "full", seed: int = 0) -> ExperimentResult
 
 @experiment("E4", "Theorem 3.1: self-stabilization from adversarial initial configurations")
 def run_e4_self_stabilization(scale: str = "full", seed: int = 0) -> ExperimentResult:
-    demand, lam = _e3_colony(scale)
-    gs = _E3_GAMMA_STAR
+    n = 8000 if scale != "quick" else 4000
+    gs = 0.01
     gamma = 0.025
     rounds = 30000 if scale != "quick" else 8000
-    burn = rounds // 2
-    n, k = demand.n, demand.k
 
-    starts = {
-        "all_idle": np.zeros(k, dtype=np.int64),
-        "all_on_first_task": np.array([n] + [0] * (k - 1), dtype=np.int64),
-        "demand_matched": demand.as_array(),
-        "half_demand": demand.as_array() // 2,
-    }
-    rows, finals = [], {}
-    for i, (name, loads0) in enumerate(starts.items()):
-        sim = CountingSimulator(
-            AntAlgorithm(gamma=gamma), demand, SigmoidFeedback(lam),
-            seed=seed + i, initial_loads=loads0,
-        )
-        out = sim.run(rounds, burn_in=burn)
-        c = out.metrics.closeness(gs, demand.total)
-        finals[name] = c
-        rows.append([name, c, float(np.abs(out.metrics.final_deficits).max())])
+    spec = colony_spec(
+        n, gs, AlgorithmSpec("ant", {"gamma": gamma}), rounds=rounds, burn_in=rounds // 2, seed=seed
+    )
+    demand = spec.initial_demand().as_array()
+    starts = ["all_idle", "all_on_first_task", "demand_matched", "half_demand"]
+    loads = [[0, 0, 0, 0], [n, 0, 0, 0], demand.tolist(), (demand // 2).tolist()]
+    with sweep_store() as store:
+        out = sweep_scenario(spec, "engine.initial_loads", loads, trials=1, store=store)
+    finals = dict(zip(starts, out.series("mean_closeness")))
+    deficits = out.series("mean_max_abs_deficit")
+    rows = [[name, c, d] for (name, c), d in zip(finals.items(), deficits)]
 
     res = ExperimentResult("E4", run_e4_self_stabilization.title, scale)
     res.tables.append(
         format_table(
-            ["initial configuration", "steady closeness", "final max|deficit|"],
+            ["initial configuration", "steady closeness", "max|deficit| after burn-in"],
             rows,
             title=f"Algorithm Ant, gamma={gamma}, n={n}",
         )
@@ -146,40 +114,39 @@ def run_e4_self_stabilization(scale: str = "full", seed: int = 0) -> ExperimentR
 @experiment("E5", "Theorem 3.2: Precise Sigmoid regret rate = eps*gamma*sum_d (linear in eps)")
 def run_e5_precise_sigmoid(scale: str = "full", seed: int = 0) -> ExperimentResult:
     n = 80000 if scale != "quick" else 40000
-    demand = uniform_demands(n=n, k=4)
     gs = 0.01
-    lam = lambda_for_critical_value(demand, gamma_star=gs)
     gamma = 0.04
     rounds = 200000 if scale != "quick" else 40000
-    burn = rounds // 10
     eps_values = [0.999, 0.5, 0.25]
 
-    rows, rates, theory = [], [], []
-    ant_c = None
-    for i, eps in enumerate(eps_values):
-        alg = PreciseSigmoidAlgorithm(gamma=gamma, eps=eps)
-        start = np.round(demand.as_array() * (1.0 + 2.0 * alg.step_size)).astype(np.int64)
-        sim = CountingSimulator(
-            alg, demand, SigmoidFeedback(lam), seed=seed + i, initial_loads=start
-        )
-        out = sim.run(rounds, burn_in=burn)
-        rate = out.metrics.average_regret
-        bound = precise_sigmoid_rate(eps, gamma, demand.total)
-        rows.append([eps, rate, bound, out.metrics.closeness(gs, demand.total)])
-        rates.append(rate)
-        theory.append(bound)
     # Algorithm Ant on the same colony, for the separation claim.
-    sim = CountingSimulator(AntAlgorithm(gamma=gamma), demand, SigmoidFeedback(lam), seed=seed)
-    ant_out = sim.run(rounds // 4, burn_in=rounds // 8)
-    ant_c = ant_out.metrics.average_regret
+    ant = AlgorithmSpec("ant", {"gamma": gamma})
+    ant_spec = colony_spec(n, gs, ant, rounds=rounds // 4, burn_in=rounds // 8, seed=seed)
+    demand = ant_spec.initial_demand()
+    points = []
+    with sweep_store() as store:
+        for eps in eps_values:
+            algorithm = AlgorithmSpec("precise_sigmoid", {"gamma": gamma, "eps": eps})
+            spec = colony_spec(n, gs, algorithm, rounds=rounds, burn_in=rounds // 10, seed=seed)
+            step = algorithm.build().step_size
+            start = np.round(demand.as_array() * (1.0 + 2.0 * step)).astype(np.int64).tolist()
+            out = sweep_scenario(spec, "engine.initial_loads", [start], trials=1, store=store)
+            points += out.summaries
+        out = sweep_scenario(ant_spec, "algorithm.gamma", [gamma], trials=1, store=store)
+    [ant_out] = out.summaries
+    rates = [p.mean_average_regret for p in points]
+    theory = [precise_sigmoid_rate(eps, gamma, demand.total) for eps in eps_values]
+    rows = [
+        [eps, rate, bound, p.mean_closeness]
+        for eps, rate, bound, p in zip(eps_values, rates, theory, points)
+    ]
+    ant_c = ant_out.mean_average_regret
 
     res = ExperimentResult("E5", run_e5_precise_sigmoid.title, scale)
     res.series["eps"] = np.array(eps_values)
     res.series["measured_rate"] = np.array(rates)
     res.series["theory_rate"] = np.array(theory)
-    rows.append(
-        ["(Algorithm Ant)", ant_c, float("nan"), ant_out.metrics.closeness(gs, demand.total)]
-    )
+    rows.append(["(Algorithm Ant)", ant_c, float("nan"), ant_out.mean_closeness])
     res.tables.append(
         format_table(
             ["eps", "measured R(t)/t", "theory eps*g*sum_d", "closeness"],

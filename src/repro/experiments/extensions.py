@@ -9,16 +9,18 @@ variant churns).  E15 checks Remark 3.4's correlated-feedback robustness.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.analysis.report import format_table
-from repro.core.ant import AntAlgorithm, OneSampleAntAlgorithm
+from repro.core.ant import AntAlgorithm
 from repro.env.critical import lambda_for_critical_value
 from repro.env.demands import StepDemandSchedule, uniform_demands
-from repro.env.feedback import CorrelatedSigmoidFeedback, SigmoidFeedback
-from repro.experiments.base import Claim, ExperimentResult, experiment
+from repro.env.feedback import SigmoidFeedback
+from repro.experiments.base import Claim, ExperimentResult, colony_spec, experiment, sweep_store
+from repro.scenario import AlgorithmSpec, EngineSpec, FeedbackSpec, sweep_scenario
 from repro.sim.counting import CountingSimulator
-from repro.sim.engine import Simulator
 
 __all__ = [
     "run_e12_gamma_tradeoff",
@@ -146,37 +148,30 @@ def run_e13_dynamic_demands(scale: str = "full", seed: int = 0) -> ExperimentRes
 @experiment("E14", "Ablation: two spaced samples vs one sample (stable zone matters)")
 def run_e14_one_sample_ablation(scale: str = "full", seed: int = 0) -> ExperimentResult:
     n = 8000 if scale != "quick" else 4000
-    demand = uniform_demands(n=n, k=4)
     gs = 0.01
-    lam = lambda_for_critical_value(demand, gamma_star=gs)
     gamma = 0.025
     rounds = 16000 if scale != "quick" else 6000
     burn = rounds // 2
 
-    out_two = Simulator(
-        AntAlgorithm(gamma=gamma), demand, SigmoidFeedback(lam), seed=seed
-    ).run(rounds, burn_in=burn)
-    out_one = Simulator(
-        OneSampleAntAlgorithm(gamma=gamma), demand, SigmoidFeedback(lam), seed=seed
-    ).run(rounds, burn_in=burn)
-
-    c_two = out_two.metrics.closeness(gs, demand.total)
-    c_one = out_one.metrics.closeness(gs, demand.total)
-    s_two = out_two.metrics.switches_per_round
-    s_one = out_one.metrics.switches_per_round
+    agent = EngineSpec("agent")
+    summaries = []
+    with sweep_store() as store:
+        for name in ("ant", "ant_one_sample"):
+            variant = AlgorithmSpec(name, {"gamma": gamma})
+            spec = colony_spec(n, gs, variant, rounds=rounds, burn_in=burn, seed=seed, engine=agent)
+            out = sweep_scenario(spec, "algorithm.gamma", [gamma], trials=1, store=store)
+            summaries += out.summaries
+    two, one = summaries
+    c_two, c_one = two.mean_closeness, one.mean_closeness
+    s_two, s_one = two.mean_switches_per_round, one.mean_switches_per_round
 
     res = ExperimentResult("E14", run_e14_one_sample_ablation.title, scale)
     res.tables.append(
         format_table(
             ["variant", "closeness", "switches/round", "max|deficit|"],
             [
-                [
-                    "two spaced samples (Algorithm Ant)",
-                    c_two,
-                    s_two,
-                    out_two.metrics.max_abs_deficit,
-                ],
-                ["one sample (ablation)", c_one, s_one, out_one.metrics.max_abs_deficit],
+                ["two spaced samples (Algorithm Ant)", c_two, s_two, two.mean_max_abs_deficit],
+                ["one sample (ablation)", c_one, s_one, one.mean_max_abs_deficit],
             ],
             title=f"Sample-spacing ablation, gamma={gamma}, n={n}",
         )
@@ -196,27 +191,28 @@ def run_e14_one_sample_ablation(scale: str = "full", seed: int = 0) -> Experimen
 @experiment("E15", "Remark 3.4: robustness to correlated feedback")
 def run_e15_correlated_feedback(scale: str = "full", seed: int = 0) -> ExperimentResult:
     n = 8000 if scale != "quick" else 4000
-    demand = uniform_demands(n=n, k=4)
     gs = 0.01
-    lam = lambda_for_critical_value(demand, gamma_star=gs)
     gamma = 0.025
     rounds = 16000 if scale != "quick" else 6000
     burn = rounds // 2
     rhos = [0.0, 0.5, 1.0]
 
-    rows, closenesses = [], []
-    for i, rho in enumerate(rhos):
-        fb = (
-            SigmoidFeedback(lam)
-            if rho == 0.0
-            else CorrelatedSigmoidFeedback(lam, rho=rho)
-        )
-        out = Simulator(AntAlgorithm(gamma=gamma), demand, fb, seed=seed + i).run(
-            rounds, burn_in=burn
-        )
-        c = out.metrics.closeness(gs, demand.total)
-        closenesses.append(c)
-        rows.append([rho, c, out.metrics.max_abs_deficit])
+    ant, agent = AlgorithmSpec("ant", {"gamma": gamma}), EngineSpec("agent")
+    spec = colony_spec(n, gs, ant, rounds=rounds, burn_in=burn, seed=seed, engine=agent)
+    lam = lambda_for_critical_value(spec.initial_demand(), gamma_star=gs)
+    sigmoid = FeedbackSpec("sigmoid", {"lam": lam})
+    correlated = FeedbackSpec("correlated_sigmoid", {"lam": lam, "rho": rhos[1]})
+    summaries = []
+    with sweep_store() as store:
+        # rho = 0 is the uncorrelated model, one point; the correlated one sweeps rho > 0.
+        for feedback, parameter, values in [
+            (sigmoid, "feedback.lam", [lam]),
+            (correlated, "feedback.rho", rhos[1:]),
+        ]:
+            point = dataclasses.replace(spec, feedback=feedback)
+            summaries += sweep_scenario(point, parameter, values, trials=1, store=store).summaries
+    closenesses = [s.mean_closeness for s in summaries]
+    rows = [[rho, s.mean_closeness, s.mean_max_abs_deficit] for rho, s in zip(rhos, summaries)]
 
     res = ExperimentResult("E15", run_e15_correlated_feedback.title, scale)
     res.tables.append(

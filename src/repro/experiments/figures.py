@@ -14,7 +14,6 @@ as an ASCII plot.
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -24,7 +23,8 @@ from repro.core.ant import AntAlgorithm
 from repro.env.critical import critical_value_sigmoid, lambda_for_critical_value
 from repro.env.demands import lognormal_demands, powerlaw_demands, uniform_demands
 from repro.env.feedback import SigmoidFeedback
-from repro.experiments.base import Claim, ExperimentResult, experiment
+from repro.experiments.base import Claim, ExperimentResult, experiment, sweep_store
+from repro.scenario import ScenarioSpec, sweep_scenario
 from repro.sim.engine import Simulator
 from repro.types import assignment_from_loads
 from repro.util.ascii_plot import line_plot
@@ -198,8 +198,6 @@ def _spectrum_spec(family, skew, *, n, k, rounds, burn_in, seed, gamma_star):
     heavy tasks' feedback nearly exact and light tasks' nearly random,
     confounding the skew axis with a noise axis.
     """
-    from repro.scenario import ScenarioSpec
-
     if family == "powerlaw":
         skew_param, demand = "alpha", powerlaw_demands(n=n, k=k, alpha=skew)
     else:
@@ -249,9 +247,6 @@ def run_e16_spectrum_skew(scale: str = "full", seed: int = 0) -> ExperimentResul
         "lognormal": [0.25, 0.75, 1.25],
     }
 
-    from repro.scenario import sweep_scenario
-    from repro.store import ResultStore
-
     def render(store):
         """One full figure pass; returns (closeness rows, resumed flags)."""
         rows: dict[str, list[float]] = {}
@@ -283,9 +278,7 @@ def run_e16_spectrum_skew(scale: str = "full", seed: int = 0) -> ExperimentResul
                 resumed.extend(out.resumed or [])
         return rows, regret_rows, resumed
 
-    env_root = os.environ.get("REPRO_STORE")
-    with tempfile.TemporaryDirectory() as tmp:
-        store = ResultStore(env_root if env_root else tmp)
+    with sweep_store() as store:
         first, regrets, _ = render(store)
         second, _, second_resumed = render(store)
 
@@ -315,6 +308,7 @@ def run_e16_spectrum_skew(scale: str = "full", seed: int = 0) -> ExperimentResul
     res.tables.append(
         format_table(["spectrum", "skew", "R(t)/t", "closeness"], table_rows)
     )
+    env_root = os.environ.get("REPRO_STORE")
     res.notes.append(
         f"store root: {'$REPRO_STORE=' + env_root if env_root else 'temp dir'}; "
         f"{n_points} points per pass, second pass served {sum(second_resumed)} "

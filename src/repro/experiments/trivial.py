@@ -16,9 +16,16 @@ from repro.core.trivial import TrivialAlgorithm
 from repro.env.critical import lambda_for_critical_value
 from repro.env.demands import DemandVector
 from repro.env.feedback import SigmoidFeedback
-from repro.experiments.base import Claim, ExperimentResult, experiment
+from repro.experiments.base import Claim, ExperimentResult, experiment, sweep_store
+from repro.scenario import (
+    AlgorithmSpec,
+    DemandSpec,
+    EngineSpec,
+    FeedbackSpec,
+    ScenarioSpec,
+    sweep_scenario,
+)
 from repro.sim.engine import Simulator
-from repro.sim.sequential import SequentialSimulator
 
 __all__ = ["run_e10_trivial_sequential", "run_e11_trivial_synchronous"]
 
@@ -27,25 +34,26 @@ __all__ = ["run_e10_trivial_sequential", "run_e11_trivial_synchronous"]
 def run_e10_trivial_sequential(scale: str = "full", seed: int = 0) -> ExperimentResult:
     n = 2000 if scale == "quick" else 4000
     d = n // 4
-    demand = DemandVector(np.array([d], dtype=np.int64), n=n, strict=False)
     rounds = (40 if scale == "quick" else 80) * n  # ~40-80 activations per ant
-    burn = rounds // 2
     gamma_stars = [0.05, 0.1, 0.2]
 
-    rows, rates = [], []
-    for i, gs in enumerate(gamma_stars):
-        lam = lambda_for_critical_value(demand, gamma_star=gs)
-        sim = SequentialSimulator(
-            TrivialAlgorithm(), demand, SigmoidFeedback(lam), seed=seed + i
-        )
-        out = sim.run(rounds, burn_in=burn)
-        rate = out.metrics.average_regret
-        rates.append(rate)
-        rows.append([gs, rate, gs * demand.total, rate / (gs * demand.total)])
+    spec = ScenarioSpec(
+        algorithm=AlgorithmSpec("trivial"),
+        demand=DemandSpec("explicit", {"demands": [d], "n": n, "strict": False}),
+        feedback=FeedbackSpec("calibrated_sigmoid", {"gamma_star": gamma_stars[0]}),
+        engine=EngineSpec("sequential"),
+        rounds=rounds,
+        seed=seed,
+        run_params={"burn_in": rounds // 2},
+    )
+    with sweep_store() as store:
+        out = sweep_scenario(spec, "feedback.gamma_star", gamma_stars, trials=1, store=store)
+    rates = out.series("mean_average_regret")
+    rows = [[gs, rate, gs * d, rate / (gs * d)] for gs, rate in zip(gamma_stars, rates)]
 
     res = ExperimentResult("E10", run_e10_trivial_sequential.title, scale)
     res.series["gamma_star"] = np.array(gamma_stars)
-    res.series["regret_rate"] = np.array(rates)
+    res.series["regret_rate"] = rates
     res.tables.append(
         format_table(
             ["gamma*", "measured R(t)/t", "gamma* * sum_d", "ratio"],
@@ -59,7 +67,7 @@ def run_e10_trivial_sequential(scale: str = "full", seed: int = 0) -> Experiment
         res.claims.append(
             Claim.upper(f"sequential regret rate well below n (gamma*={gs})", rate, 0.05 * n)
         )
-    ratio = np.array(rates) / np.array(gamma_stars)
+    ratio = rates / np.array(gamma_stars)
     res.claims.append(
         Claim.shape(
             "regret rate scales ~linearly with gamma* (max/min of rate/gamma* <= 3)",

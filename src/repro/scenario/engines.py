@@ -65,10 +65,13 @@ def _build_agent(
     *,
     seed=None,
     population=None,
-    initial_assignment: str = "all_idle",
+    initial_assignment: str | list[int] = "all_idle",
     check_invariants_every: int = 0,
 ) -> Simulator:
     _require_no_population("agent", population)
+    if isinstance(initial_assignment, list):
+        # A spec holds an explicit assignment as a JSON list.
+        initial_assignment = np.asarray(initial_assignment, dtype=np.int64)
     return Simulator(
         algorithm,
         demand,

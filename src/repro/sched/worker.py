@@ -40,6 +40,7 @@ store directory and they cooperate exactly like local ones.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -80,16 +81,19 @@ def drain_jobs(
     stats: WorkerStats,
     seconds: Histogram,
     max_points: int | None = None,
+    stop: threading.Event | None = None,
 ) -> None:
     """Claim, compute and commit ``jobs`` until each has a record.
 
     Returns once every job's record is committed in ``store`` (some
-    computed here, some by other workers), or before claiming a job
-    once ``stats.computed`` reaches ``max_points``.  Each computation
-    (heartbeat and trials, not the commit) is timed into ``seconds``;
-    the lease heartbeat fires every ``manager.ttl / 4`` seconds.  An
-    exception from a computation propagates after the lease is
-    released.
+    computed here, some by other workers), before claiming a job once
+    ``stats.computed`` reaches ``max_points``, or before a pass once
+    ``stop`` is set: a stopping service leaves its job uncommitted,
+    even one a live peer's lease would otherwise keep it waiting on.
+    Each computation (heartbeat and trials, not the commit) is timed
+    into ``seconds``; the lease heartbeat fires every ``manager.ttl /
+    4`` seconds.  An exception from a computation propagates after the
+    lease is released.
     """
     # Per-outcome counters; cumulative, process-wide.
     registry = get_registry()
@@ -98,7 +102,7 @@ def drain_jobs(
         for outcome in ("computed", "resumed_skip", "lease_denied", "lost_lease")
     }
     outstanding = list(jobs)
-    while outstanding:
+    while outstanding and not (stop is not None and stop.is_set()):
         denied = []
         progressed = False
         for job in outstanding:

@@ -128,7 +128,7 @@ class ScenarioService:
         self._misses = 0
         self._coalesced = 0
         self._failures = 0
-        self._stopping = False
+        self._stopping = threading.Event()
         self._threads: list[threading.Thread] = []
         # One per worker thread ever started; /status sums them.
         self._worker_stats: list[WorkerStats] = []
@@ -148,7 +148,7 @@ class ScenarioService:
         with self._lock:
             if self._threads or self._n_workers == 0:
                 return
-            self._stopping = False
+            self._stopping.clear()
             for index in range(self._n_workers):
                 stats = WorkerStats()
                 thread = threading.Thread(
@@ -163,10 +163,14 @@ class ScenarioService:
             thread.start()
 
     def stop(self, *, timeout: float = 5.0) -> None:
-        """Stop workers after their current computation (idempotent)."""
+        """Stop workers after their current computation (idempotent).
+
+        A worker waiting on another process's lease stops waiting; its
+        request is dropped from the pending map, uncomputed.
+        """
         with self._lock:
             threads, self._threads = self._threads, []
-            self._stopping = True
+            self._stopping.set()
         for _ in threads:
             self._queue.put(None)  # one wake-up token per worker
         for thread in threads:
@@ -274,10 +278,17 @@ class ScenarioService:
         seconds = get_registry().histogram("repro_serve_compute_seconds")
         while (digest := self._queue.get()) is not None:
             with self._lock:
-                job = None if self._stopping else self._pending.get(digest)
+                job = None if self._stopping.is_set() else self._pending.get(digest)
             try:
                 if job is not None:
-                    drain_jobs(self.store, manager, [job], stats=stats, seconds=seconds)
+                    drain_jobs(
+                        self.store,
+                        manager,
+                        [job],
+                        stats=stats,
+                        seconds=seconds,
+                        stop=self._stopping,
+                    )
                     stats.digests.clear()  # unread here; keeps a long-lived thread flat
             except Exception as exc:  # noqa: BLE001 — failures become responses
                 with self._lock:

@@ -116,6 +116,13 @@ class TestMain:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
 
+    def test_run_prints_its_timing_on_stderr(self, capsys):
+        # stdout carries only the report, so two runs can print the same bytes.
+        assert main(["run", "E1", "--scale", "quick"]) == 0
+        captured = capsys.readouterr()
+        assert "took" not in captured.out
+        assert captured.err.count("took") == 1
+
     def test_run_unknown_raises(self):
         from repro.exceptions import ConfigurationError
 

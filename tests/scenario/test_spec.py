@@ -29,6 +29,7 @@ from repro.scenario import (
     ScenarioSpec,
     available_engines,
 )
+from repro.scenario.engines import _build_agent
 from repro.sim.runner import run_trials
 
 from tests.serve.test_request import tiny_spec
@@ -294,6 +295,25 @@ class TestScenarioSpec:
         assert sim.pi_cache_enabled
         out = sim.run(spec.rounds)
         assert out.k == K
+
+    def test_agent_engine_runs_an_assignment_list_as_the_equal_array(self):
+        # A spec holds an explicit start as a JSON list.
+        assignment = np.repeat(np.arange(-1, K), N // (K + 1))
+        spec = base_spec(
+            engine={"name": "agent", "params": {"initial_assignment": assignment.tolist()}}
+        )
+        demand = spec.build_demand()
+        by_array = _build_agent(
+            spec.algorithm.build(),
+            demand,
+            spec.feedback.build(demand=demand),
+            seed=spec.seed,
+            initial_assignment=assignment,
+        )
+        a = spec.build().run(spec.rounds, trace_stride=1)
+        b = by_array.run(spec.rounds, trace_stride=1)
+        assert np.array_equal(a.trace.loads, b.trace.loads)
+        assert a.metrics.average_regret == b.metrics.average_regret
 
     def test_per_task_lambda_length_checked_at_build(self):
         spec = base_spec(

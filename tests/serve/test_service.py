@@ -253,6 +253,27 @@ class TestLeases:
         assert status.computed == 1 and status.reclaimed == 1
         assert status.lease_denied >= 1
 
+    def test_stop_ends_a_worker_waiting_on_a_live_foreign_lease(self, tmp_path):
+        """stop() must not leave a worker retrying another process's
+        lease forever: the wait ends, the thread exits and the request
+        leaves the pending map."""
+        store = ResultStore(tmp_path)
+        request = request_for(0.03)
+        digest = request.digest()
+        other = LeaseManager(store.sched_dir / SERVE_LEASE_DIR, ttl=60.0, worker_id="other")
+        assert other.try_claim(digest) is not None
+        before = set(threading.enumerate())
+        service = ScenarioService(store, workers=1)
+        service.start()
+        assert service.submit(request) == (digest, "queued")
+        wait_for(lambda: service.status().lease_denied >= 1)
+        started = time.perf_counter()
+        service.stop(timeout=2.0)
+        assert time.perf_counter() - started < 1.0
+        workers = [t for t in threading.enumerate() if t not in before]
+        assert not any(t.name.startswith("serve-worker") for t in workers), workers
+        assert service.status().queue_depth == 0
+
     @pytest.mark.parametrize("ttl", [math.nan, math.inf])
     def test_non_finite_ttl_is_refused_before_any_worker_starts(self, tmp_path, ttl):
         with pytest.raises(ConfigurationError, match="lease ttl"):
